@@ -2,8 +2,8 @@
 
 Every learned computation in the package is expressed through the small
 primitive set defined here.  Forward execution is eager numpy; when a
-recording tape is active, each primitive appends a replayable entry with
-its adjoint rule, and :func:`backward` walks the tape in reverse to
+recording tape is active, each primitive appends an entry with its
+adjoint rule, and :func:`backward` walks the tape in reverse to
 accumulate exact gradients into leaf tensors.
 
 Design points:
@@ -16,12 +16,14 @@ Design points:
   explicitly between optimization steps (see :func:`zero_grads`).
 * Tensors are value-like.  A tape and the tensors flowing through it
   belong to one forward/backward pass; independent passes on disjoint
-  data may run concurrently.
+  data may run concurrently, because the active tape is held per thread
+  (and per asyncio task) in a context variable.
 """
 
 from __future__ import annotations
 
 import math
+from contextvars import ContextVar
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -34,7 +36,6 @@ __all__ = [
     "tensor",
     "parameter",
     "record",
-    "active_tape",
     "backward",
     "zero_grads",
     "matmul",
@@ -121,47 +122,32 @@ def _wrap(x) -> Tensor:
 
 
 class _Entry:
-    """One executed primitive: enough to replay it and to push adjoints."""
+    """One executed primitive: its inputs, its output and its adjoint rule."""
 
-    __slots__ = ("inputs", "out", "fwd", "bwd")
+    __slots__ = ("inputs", "out", "bwd")
 
-    def __init__(self, inputs, out, fwd, bwd):
+    def __init__(self, inputs, out, bwd):
         self.inputs = inputs
         self.out = out
-        self.fwd = fwd  # () -> ndarray, recomputes out from current input data
         self.bwd = bwd  # (g: ndarray) -> tuple of input adjoints (None entries allowed)
 
 
 class Tape:
     """Ordered record of executed primitives (topological by construction).
 
-    Each output tensor is produced by exactly one entry.  ``replay``
-    re-executes every forward closure in order, which is bit-identical
-    because all primitives are deterministic float64 numpy calls.
+    Each entry's output is a tensor freshly created by that primitive.
     """
 
-    __slots__ = ("entries", "_produced")
+    __slots__ = ("entries",)
 
     def __init__(self):
         self.entries: list[_Entry] = []
-        self._produced: set[int] = set()
-
-    def append(self, entry: _Entry) -> None:
-        oid = id(entry.out)
-        if oid in self._produced:
-            raise ShapeError("tape output produced twice")
-        self._produced.add(oid)
-        self.entries.append(entry)
-
-    def replay(self) -> None:
-        for e in self.entries:
-            e.out.data = e.fwd()
 
     def __len__(self) -> int:
         return len(self.entries)
 
 
-_TAPE_STACK: list[Tape] = []
+_CURRENT_TAPE: ContextVar[Tape | None] = ContextVar("graphcap_current_tape", default=None)
 
 
 class record:
@@ -171,16 +157,12 @@ class record:
         self.tape = Tape()
 
     def __enter__(self) -> Tape:
-        _TAPE_STACK.append(self.tape)
+        self._token = _CURRENT_TAPE.set(self.tape)
         return self.tape
 
     def __exit__(self, *exc):
-        _TAPE_STACK.pop()
+        _CURRENT_TAPE.reset(self._token)
         return False
-
-
-def active_tape() -> Tape | None:
-    return _TAPE_STACK[-1] if _TAPE_STACK else None
 
 
 def _finite_or_raise(arr: np.ndarray, opname: str) -> None:
@@ -191,7 +173,7 @@ def _finite_or_raise(arr: np.ndarray, opname: str) -> None:
         raise NumericError(f"{opname} produced a non-finite value")
 
 
-def _emit(opname, inputs, out_data, fwd, bwd) -> Tensor:
+def _emit(opname, inputs, out_data, bwd) -> Tensor:
     # div and log are the ops that create non-finite values from sane
     # finite inputs, so they are always scanned; the bounded and
     # value-preserving primitives skip the scan, and overflow of the
@@ -203,12 +185,12 @@ def _emit(opname, inputs, out_data, fwd, bwd) -> Tensor:
     out.requires_grad = False
     out.grad = None
     out.name = ""
-    if _TAPE_STACK:
-        tape = _TAPE_STACK[-1]
+    tape = _CURRENT_TAPE.get()
+    if tape is not None:
         for t in inputs:
             if t.requires_grad:
                 out.requires_grad = True
-                tape.append(_Entry(tuple(inputs), out, fwd, bwd))
+                tape.entries.append(_Entry(inputs, out, bwd))
                 break
     return out
 
@@ -263,7 +245,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                 gb = a.data.T @ g
         return ga, gb
 
-    return _emit("matmul", (a, b), ad @ bd, lambda: a.data @ b.data, bwd)
+    return _emit("matmul", (a, b), ad @ bd, bwd)
 
 
 def _ewise(opname, a, b, fn, bwd_fn):
@@ -271,7 +253,7 @@ def _ewise(opname, a, b, fn, bwd_fn):
         out = fn(a.data, b.data)
     except ValueError as exc:
         raise ShapeError(f"{opname}: {exc}") from exc
-    return _emit(opname, (a, b), out, lambda: fn(a.data, b.data), bwd_fn)
+    return _emit(opname, (a, b), out, bwd_fn)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -327,7 +309,7 @@ def smul(a: Tensor, c: float) -> Tensor:
     def bwd(g):
         return (g * c,)
 
-    return _emit("smul", (a,), a.data * c, lambda: a.data * c, bwd)
+    return _emit("smul", (a,), a.data * c, bwd)
 
 
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -351,13 +333,7 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
                 gs.append(None)
         return tuple(gs)
 
-    return _emit(
-        "concat",
-        tuple(parts),
-        out,
-        lambda: np.concatenate([p.data for p in parts], axis=axis),
-        bwd,
-    )
+    return _emit("concat", tuple(parts), out, bwd)
 
 
 def tslice(a: Tensor, key) -> Tensor:
@@ -366,7 +342,7 @@ def tslice(a: Tensor, key) -> Tensor:
         ga[key] = g
         return (ga,)
 
-    return _emit("slice", (a,), np.ascontiguousarray(a.data[key]), lambda: a.data[key].copy(), bwd)
+    return _emit("slice", (a,), np.ascontiguousarray(a.data[key]), bwd)
 
 
 def lookup(table: Tensor, indices) -> Tensor:
@@ -381,7 +357,7 @@ def lookup(table: Tensor, indices) -> Tensor:
         np.add.at(gt, idx, g)
         return (gt,)
 
-    return _emit("lookup", (table,), table.data[idx], lambda: table.data[idx], bwd)
+    return _emit("lookup", (table,), table.data[idx], bwd)
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -390,7 +366,7 @@ def tanh(a: Tensor) -> Tensor:
     def bwd(g):
         return (g * (1.0 - out * out),)
 
-    return _emit("tanh", (a,), out, lambda: np.tanh(a.data), bwd)
+    return _emit("tanh", (a,), out, bwd)
 
 
 try:  # single C ufunc when scipy is around; the fallback is equally stable
@@ -408,7 +384,7 @@ def sigmoid(a: Tensor) -> Tensor:
     def bwd(g):
         return (g * out * (1.0 - out),)
 
-    return _emit("sigmoid", (a,), out, lambda: _sigmoid_raw(a.data), bwd)
+    return _emit("sigmoid", (a,), out, bwd)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -417,7 +393,7 @@ def relu(a: Tensor) -> Tensor:
     def bwd(g):
         return (g * (a.data > 0),)
 
-    return _emit("relu", (a,), out, lambda: np.maximum(a.data, 0.0), bwd)
+    return _emit("relu", (a,), out, bwd)
 
 
 def _softmax_raw(x: np.ndarray) -> np.ndarray:
@@ -434,7 +410,7 @@ def softmax(a: Tensor) -> Tensor:
         dot = (g * out).sum(axis=-1, keepdims=True)
         return (out * (g - dot),)
 
-    return _emit("softmax", (a,), out, lambda: _softmax_raw(a.data), bwd)
+    return _emit("softmax", (a,), out, bwd)
 
 
 def log(a: Tensor) -> Tensor:
@@ -447,7 +423,7 @@ def log(a: Tensor) -> Tensor:
     def bwd(g):
         return (g / a.data,)
 
-    return _emit("log", (a,), out, lambda: np.log(a.data), bwd)
+    return _emit("log", (a,), out, bwd)
 
 
 def tsum(a: Tensor, axis: int | None = None) -> Tensor:
@@ -458,7 +434,7 @@ def tsum(a: Tensor, axis: int | None = None) -> Tensor:
             return (np.broadcast_to(g, a.data.shape).copy(),)
         return (np.broadcast_to(np.expand_dims(g, axis), a.data.shape).copy(),)
 
-    return _emit("sum", (a,), np.asarray(out), lambda: np.asarray(a.data.sum(axis=axis)), bwd)
+    return _emit("sum", (a,), np.asarray(out), bwd)
 
 
 def tmean(a: Tensor, axis: int | None = None) -> Tensor:
@@ -470,16 +446,14 @@ def tmean(a: Tensor, axis: int | None = None) -> Tensor:
             return (np.broadcast_to(g / n, a.data.shape).copy(),)
         return (np.broadcast_to(np.expand_dims(g, axis) / n, a.data.shape).copy(),)
 
-    return _emit("mean", (a,), np.asarray(out), lambda: np.asarray(a.data.mean(axis=axis)), bwd)
+    return _emit("mean", (a,), np.asarray(out), bwd)
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     def bwd(g):
         return (g.reshape(a.data.shape),)
 
-    return _emit(
-        "reshape", (a,), a.data.reshape(shape).copy(), lambda: a.data.reshape(shape).copy(), bwd
-    )
+    return _emit("reshape", (a,), a.data.reshape(shape).copy(), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -487,13 +461,12 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def backward(tape: Tape, loss: Tensor) -> list[Tensor]:
+def backward(tape: Tape, loss: Tensor) -> None:
     """Accumulate dloss/dx into ``grad`` of every requires_grad leaf.
 
-    Returns the leaves that received no gradient (parameters unreachable
-    from the loss); their ``grad`` buffers are left untouched (zero).
-    Repeated calls without zeroing accumulate, supporting multi-sample
-    batches.
+    Leaves unreachable from the loss keep their ``grad`` buffers as they
+    were.  Repeated calls without zeroing accumulate, supporting
+    multi-sample batches.
     """
     if loss.data.size != 1:
         raise ShapeError(f"loss must be scalar, got shape {loss.data.shape}")
@@ -502,8 +475,6 @@ def backward(tape: Tape, loss: Tensor) -> list[Tensor]:
         raise ShapeError("loss is not reachable from the recorded tape")
 
     adjoint: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    leaves: dict[int, Tensor] = {}
-    touched: set[int] = set()
 
     for entry in reversed(tape.entries):
         g = adjoint.pop(id(entry.out), None)
@@ -520,19 +491,9 @@ def backward(tape: Tape, loss: Tensor) -> list[Tensor]:
                 else:
                     adjoint[tid] = gt
             else:
-                leaves[tid] = t
-                touched.add(tid)
                 if t.grad is None:
                     t.grad = np.zeros_like(t.data)
                 t.grad += gt
-
-    unreached = []
-    for entry in tape.entries:
-        for t in entry.inputs:
-            if t.requires_grad and id(t) not in produced and id(t) not in touched:
-                if not any(t is u for u in unreached):
-                    unreached.append(t)
-    return unreached
 
 
 def zero_grads(params: Iterable[Tensor]) -> None:

@@ -138,20 +138,33 @@ def cmd_caption(args) -> int:
     words = [ckpt.model.token_text(t) for t in best.tokens if t != ckpt.model.eos_id]
     print(" ".join(words))
     if args.trace:
-        trace = [
+        trace = _attention_trace(ckpt.model, graph, feats, best.tokens)
+        with open(args.trace, "w") as fh:
+            json.dump(trace, fh, indent=1)
+        print(f"trace written to {args.trace}")
+    return 0
+
+
+def _attention_trace(model: CaptionModel, graph, feats, tokens: list[int]) -> list[dict]:
+    """Per-step attention of a decoded caption, recomputed by stepping
+    the model through its tokens again (decoding is deterministic)."""
+    prepared = model.prepare(graph, feats)
+    state = model.initial_state(prepared)
+    prev = model.bos_id
+    trace = []
+    for tok in tokens:
+        state, _, st = model.step(prepared, state, prev)
+        trace.append(
             {
-                "token": st.token,
+                "token": model.token_text(tok),
                 "alpha": st.alpha,
                 "beta": st.beta,
                 "s": st.modes,
                 "sentinel": st.sentinel,
             }
-            for st in best.traces
-        ]
-        with open(args.trace, "w") as fh:
-            json.dump(trace, fh, indent=1)
-        print(f"trace written to {args.trace}")
-    return 0
+        )
+        prev = tok
+    return trace
 
 
 def _world_for(ckpt: Checkpoint, args) -> WorldConfig:

@@ -19,7 +19,7 @@ decode is differentiable end to end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -341,7 +341,6 @@ class Hypothesis:
     score: float
     state: DecoderState
     finished: bool
-    traces: list[StepTrace]
 
 
 def beam_search(
@@ -364,7 +363,7 @@ def beam_search(
     prepared = model.prepare(graph, feats)
     state = model.initial_state(prepared)
     bos = model.bos_id
-    beams = [Hypothesis(tokens=[], score=0.0, state=state, finished=False, traces=[])]
+    beams = [Hypothesis(tokens=[], score=0.0, state=state, finished=False)]
 
     for _ in range(max_len):
         candidates: list[Hypothesis] = []
@@ -373,7 +372,7 @@ def beam_search(
                 candidates.append(hyp)
                 continue
             prev = hyp.tokens[-1] if hyp.tokens else bos
-            new_state, log_probs, trace = model.step(prepared, hyp.state, prev)
+            new_state, log_probs, _ = model.step(prepared, hyp.state, prev)
             top = np.argsort(log_probs)[::-1][:beam]
             for tok in top:
                 tok = int(tok)
@@ -383,7 +382,6 @@ def beam_search(
                         score=hyp.score + float(log_probs[tok]),
                         state=new_state,
                         finished=(eos_id is not None and tok == eos_id),
-                        traces=hyp.traces + [replace(trace, token=model.token_text(tok))],
                     )
                 )
         candidates.sort(key=lambda h: h.score, reverse=True)

@@ -33,7 +33,6 @@ __all__ = [
     "cider_d",
     "div_n",
     "self_cider",
-    "jacobi_eigenvalues",
 ]
 
 
@@ -281,40 +280,15 @@ def div_n(captions: list[list[str]], n: int) -> float:
     return len(distinct) / total_words
 
 
-def jacobi_eigenvalues(matrix: np.ndarray, tol: float = 1e-10, max_sweeps: int = 100) -> np.ndarray:
-    """Eigenvalues of a small symmetric matrix by cyclic Jacobi rotation."""
-    a = np.array(matrix, dtype=np.float64)
-    m = a.shape[0]
-    if a.shape != (m, m) or not np.allclose(a, a.T, atol=1e-12):
-        raise ShapeError("jacobi needs a symmetric square matrix")
-    for _ in range(max_sweeps):
-        off = math.sqrt(np.sum(np.tril(a, -1) ** 2))
-        if off < tol:
-            break
-        for p in range(m - 1):
-            for q in range(p + 1, m):
-                if abs(a[p, q]) < tol / (m * m):
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * a[p, q])
-                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rot = np.eye(m)
-                rot[p, p] = c
-                rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                a = rot.T @ a @ rot
-    return np.sort(np.diag(a))
-
-
 def self_cider(captions: list[list[str]]) -> float:
     """Spectral diversity of a caption set.
 
     Builds the pairwise consensus kernel (document frequencies from the
-    set itself), normalizes it so the diagonal is one, and scores
+    set itself), normalizes it to a unit diagonal, and scores
     1 - lambda_max / trace, rescaled by m/(m-1) so duplicates give 0 and
-    pairwise-orthogonal captions give 1.
+    pairwise-orthogonal captions give 1.  An empty caption shares no
+    n-gram with anything, so it counts as a duplicate of another empty
+    caption and as orthogonal to every other caption.
     """
     m = len(captions)
     if m < 2:
@@ -324,9 +298,12 @@ def self_cider(captions: list[list[str]]) -> float:
     for i in range(m):
         for j in range(i, m):
             k[i, j] = k[j, i] = cider_pair(captions[i], captions[j], df, n_docs)
-    diag = np.sqrt(np.maximum(np.diag(k), 1e-300))
-    k = k / np.outer(diag, diag)
-    eig = jacobi_eigenvalues(k)
+    empty = np.array([not cap for cap in captions])
+    diag = np.where(empty, 1.0, np.diag(k))
+    k = k / np.sqrt(np.outer(diag, diag))  # sqrt(c * c) == c: duplicates give exact ones
+    k[np.outer(empty, empty)] = 1.0
+    np.fill_diagonal(k, 1.0)
+    eig = np.linalg.eigvalsh(k)
     lam_max = float(eig[-1])
     total = float(np.sum(eig))
     score = (1.0 - lam_max / total) * m / (m - 1)

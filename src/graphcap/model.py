@@ -118,7 +118,8 @@ class CaptionModel:
 
     def _step(self, prepared: Prepared, state: DecoderState, prev_id: int):
         """Advance one decode step: returns (new state, token probability
-        tensor, trace)."""
+        tensor, flow modes, fusion gate, sentinel); each of the last three
+        is None when its component is switched off."""
         p = self.decoder
         w_prev = ad.tslice(p.word_emb, prev_id)
         h_att, c_att = dec.attention_query_step(p, state, prepared.fused, w_prev)
@@ -151,20 +152,21 @@ class CaptionModel:
             z=context,
             t=state.t + 1,
         )
+        return new_state, probs, modes, beta, sentinel
+
+    def step(self, prepared: Prepared, state: DecoderState, prev_id: int):
+        """Decoding-facing step: clones the state so beam hypotheses
+        stay isolated, and returns log-probabilities as an array plus the
+        step's attention trace (with an empty token)."""
+        new_state, probs, modes, beta, sentinel = self._step(prepared, state, prev_id)
+        log_probs = np.log(np.maximum(probs.data, 1e-300))
         trace = StepTrace(
             token="",
-            alpha=[float(v) for v in alpha.data],
+            alpha=[float(v) for v in new_state.alpha.data],
             beta=float(beta.data[0]) if beta is not None else None,
             modes=[float(v) for v in modes.data] if modes is not None else None,
             sentinel=float(sentinel.data[0]) if sentinel is not None else 1.0,
         )
-        return new_state, probs, trace
-
-    def step(self, prepared: Prepared, state: DecoderState, prev_id: int):
-        """Decoding-facing step: clones the state so beam hypotheses
-        stay isolated, and returns log-probabilities as an array."""
-        new_state, probs, trace = self._step(prepared, state, prev_id)
-        log_probs = np.log(np.maximum(probs.data, 1e-300))
         return _clone_state(new_state), log_probs, trace
 
     # -- training loss ------------------------------------------------------
@@ -178,7 +180,7 @@ class CaptionModel:
         targets = list(caption_ids) + [self.eos_id]
         total = None
         for prev_id, target in zip(inputs, targets):
-            state, probs, _ = self._step(prepared, state, prev_id)
+            state, probs, *_ = self._step(prepared, state, prev_id)
             lp = ad.log(ad.tslice(probs, slice(target, target + 1)))
             total = lp if total is None else ad.add(total, lp)
         loss = ad.smul(ad.tsum(total), -1.0 / len(targets))

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from graphcap.errors import ShapeError
+from graphcap.graph import asg_from_json
 from graphcap.training import Checkpoint, Dataset, Instance, TrainConfig, train
-from graphcap.worldgen import WorldConfig, gen_dataset
+from graphcap.worldgen import WorldConfig, features_for, gen_dataset, scene_from_json
 
 
 def tiny_dataset(n=12, dim=12, seed=0):
@@ -242,6 +243,15 @@ class TestCli:
         with open(root / "trace.json") as fh:
             trace = json.load(fh)
         assert trace and {"token", "alpha", "beta", "s", "sentinel"} <= set(trace[0])
+        # one trace step per token of the best hypothesis, end token included
+        ckpt = Checkpoint.load(root / "ckpt")
+        with open(root / "data" / "world.json") as fh:
+            world = WorldConfig.from_json(json.load(fh))
+        graph = asg_from_json(root / "asg.json")
+        feats = features_for(scene_from_json(json.loads(first_scene)), graph, world)
+        beam = 2 if ckpt.config.use_beam_search else 1
+        best = ckpt.model.decode(graph, feats, beam=beam, max_len=ckpt.config.max_len)[0]
+        assert [st["token"] for st in trace] == [ckpt.model.token_text(t) for t in best.tokens]
 
         assert self.run_cli(
             "eval-control", "--ckpt", root / "ckpt", "--data", root / "data",
