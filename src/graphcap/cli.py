@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -36,10 +37,14 @@ from .worldgen import (
 )
 
 
+def _read_world(path: str | Path) -> WorldConfig:
+    with open(path) as fh:
+        return WorldConfig.from_json(json.load(fh))
+
+
 def _load_dataset(data_dir: str | Path) -> Dataset:
     data_dir = Path(data_dir)
-    with open(data_dir / "world.json") as fh:
-        world = WorldConfig.from_json(json.load(fh))
+    world = _read_world(data_dir / "world.json")
     scenes = load_scenes(data_dir / "scenes.jsonl")
     vocab = Vocab.load(data_dir / "vocab.json")
     instances = []
@@ -65,11 +70,7 @@ def _load_scene_file(path: str | Path):
 
 
 def cmd_gen_data(args) -> int:
-    if args.config:
-        with open(args.config) as fh:
-            world = WorldConfig.from_json(json.load(fh))
-    else:
-        world = WorldConfig()
+    world = _read_world(args.config) if args.config else WorldConfig()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     scenes, rows = gen_dataset(world, args.count, seed=args.seed)
@@ -88,7 +89,7 @@ def cmd_gen_data(args) -> int:
             )
     world.grammar().build_vocab().save(out / "vocab.json")
     with open(out / "world.json", "w") as fh:
-        json.dump(world.to_json(), fh, indent=1)
+        json.dump(asdict(world), fh, indent=1)
     print(f"wrote {len(scenes)} scenes, {len(rows)} triplets to {out}")
     return 0
 
@@ -108,7 +109,6 @@ def cmd_train(args) -> int:
         use_content_attention=not args.no_ctn,
         use_flow_attention=not args.no_flow,
         use_graph_update=not args.no_gupdt,
-        use_beam_search=not args.greedy,
     )
     if dataset.world.dim != cfg.dim:
         print(f"error: data feature dim {dataset.world.dim} != model dim {cfg.dim}", file=sys.stderr)
@@ -131,8 +131,9 @@ def cmd_caption(args) -> int:
         for v in violations:
             print(f"  {v}", file=sys.stderr)
         return 2
-    feats = features_for(scene, graph, _world_for(ckpt, args))
-    beam = 1 if not ckpt.config.use_beam_search else args.beam
+    world = _read_world(args.world) if args.world else WorldConfig(dim=ckpt.config.dim)
+    feats = features_for(scene, graph, world)
+    beam = ckpt.config.beam if args.beam is None else args.beam
     hyps = ckpt.model.decode(graph, feats, beam=beam, max_len=ckpt.config.max_len)
     best = hyps[0]
     words = [ckpt.model.token_text(t) for t in best.tokens if t != ckpt.model.eos_id]
@@ -153,25 +154,18 @@ def _attention_trace(model: CaptionModel, graph, feats, tokens: list[int]) -> li
     prev = model.bos_id
     trace = []
     for tok in tokens:
-        state, _, st = model.step(prepared, state, prev)
+        state, _, modes, beta, sentinel = model._step(prepared, state, prev)
         trace.append(
             {
                 "token": model.token_text(tok),
-                "alpha": st.alpha,
-                "beta": st.beta,
-                "s": st.modes,
-                "sentinel": st.sentinel,
+                "alpha": state.alpha.data.tolist(),
+                "beta": float(beta.data[0]) if beta is not None else None,
+                "s": modes.data.tolist() if modes is not None else None,
+                "sentinel": float(sentinel.data[0]) if sentinel is not None else 1.0,
             }
         )
         prev = tok
     return trace
-
-
-def _world_for(ckpt: Checkpoint, args) -> WorldConfig:
-    if getattr(args, "world", None):
-        with open(args.world) as fh:
-            return WorldConfig.from_json(json.load(fh))
-    return WorldConfig(dim=ckpt.config.dim)
 
 
 def cmd_eval_control(args) -> int:
@@ -207,11 +201,7 @@ def cmd_sample_asg(args) -> int:
     if args.mode == "subgraph":
         graph = sample_subgraph(full_scene_graph(scene), rng)
     else:
-        if args.world:
-            with open(args.world) as fh:
-                world = WorldConfig.from_json(json.load(fh))
-        else:
-            world = WorldConfig()
+        world = _read_world(args.world) if args.world else WorldConfig()
         clf = train_relation_classifier(world, n_scenes=args.clf_scenes, seed=args.seed)
         proposals = jitter_proposals(scene, rng)
         graph = auto_generate_asg(scene, proposals, clf, world, threshold=args.threshold)
@@ -268,20 +258,19 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--layers", type=int, default=2)
     t.add_argument("--epochs", type=int, default=30)
     t.add_argument("--seed", type=int, default=0)
-    t.add_argument("--beam", type=int, default=5)
+    t.add_argument("--beam", type=int, default=5, help="decode width at eval time (1 is greedy)")
     t.add_argument("--no-role", action="store_true", help="disable role embedding")
     t.add_argument("--no-rgcn", action="store_true", help="disable graph convolution")
     t.add_argument("--no-ctn", action="store_true", help="disable content attention")
     t.add_argument("--no-flow", action="store_true", help="disable flow attention")
     t.add_argument("--no-gupdt", action="store_true", help="disable graph updating")
-    t.add_argument("--greedy", action="store_true", help="decode greedily at eval time")
     t.set_defaults(fn=cmd_train)
 
     c = sub.add_parser("caption", help="caption one scene with a control graph")
     c.add_argument("--ckpt", required=True)
     c.add_argument("--scene", required=True, help="scene JSON file")
     c.add_argument("--asg", required=True, help="control graph JSON file")
-    c.add_argument("--beam", type=int, default=5)
+    c.add_argument("--beam", type=int, help="beam width (defaults to the checkpoint's)")
     c.add_argument("--trace", help="write per-step attention trace JSON here")
     c.add_argument("--world", help="world config JSON (defaults to checkpoint dim)")
     c.set_defaults(fn=cmd_caption)

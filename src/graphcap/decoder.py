@@ -19,7 +19,7 @@ decode is differentiable end to end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -32,7 +32,6 @@ __all__ = [
     "LstmParams",
     "DecoderParams",
     "DecoderState",
-    "StepTrace",
     "init_state",
     "lstm_step",
     "attention_query_step",
@@ -94,29 +93,12 @@ class DecoderParams:
         return self.word_emb.data.shape[0]
 
     def named(self, prefix: str = "decoder"):
-        yield f"{prefix}.word_emb", self.word_emb
-        yield from self.att_cell.named(f"{prefix}.att_cell")
-        yield from self.lang_cell.named(f"{prefix}.lang_cell")
-        for field_name in (
-            "w_out",
-            "b_out",
-            "content_wx",
-            "content_wh",
-            "content_score",
-            "flow_wh",
-            "flow_wz",
-            "flow_mode",
-            "fuse_wh",
-            "fuse_wz",
-            "fuse_gate",
-            "sentinel_w",
-            "sentinel_b",
-            "erase_w",
-            "erase_b",
-            "add_w",
-            "add_b",
-        ):
-            yield f"{prefix}.{field_name}", getattr(self, field_name)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, LstmParams):
+                yield from value.named(f"{prefix}.{f.name}")
+            else:
+                yield f"{prefix}.{f.name}", value
 
 
 def init_decoder_params(dim: int, vocab_size: int, rng: np.random.Generator) -> DecoderParams:
@@ -166,15 +148,6 @@ class DecoderState:
     alpha: Tensor  # (n_slots,)
     z: Tensor  # (d,)
     t: int
-
-
-@dataclass
-class StepTrace:
-    token: str
-    alpha: list[float]
-    beta: float | None
-    modes: list[float] | None
-    sentinel: float
 
 
 def init_state(x_enc: Tensor, fg: FlowGraph) -> DecoderState:
@@ -372,7 +345,7 @@ def beam_search(
                 candidates.append(hyp)
                 continue
             prev = hyp.tokens[-1] if hyp.tokens else bos
-            new_state, log_probs, _ = model.step(prepared, hyp.state, prev)
+            new_state, log_probs = model.step(prepared, hyp.state, prev)
             top = np.argsort(log_probs)[::-1][:beam]
             for tok in top:
                 tok = int(tok)

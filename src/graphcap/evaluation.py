@@ -52,11 +52,11 @@ class ControlResult:
 
 def evaluate_control(ckpt: Checkpoint, dataset: Dataset, beam: int | None = None) -> ControlResult:
     """Decode every instance with its groundtruth-aligned graph and
-    score against the groundtruth caption."""
+    score against the groundtruth caption.  ``beam`` defaults to the
+    checkpoint's width."""
     grammar = dataset.world.grammar()
     model = ckpt.model
-    use_beam = ckpt.config.use_beam_search if beam is None else beam > 1
-    width = (ckpt.config.beam if use_beam else 1) if beam is None else beam
+    width = ckpt.config.beam if beam is None else beam
 
     gens: list[list[str]] = []
     refs: list[list[str]] = []

@@ -21,7 +21,7 @@ from .encoder import FeatureBundle, aggregation_matrices, encode, init_encoder_p
 from .errors import ShapeError
 from .grammar import Vocab
 from .graph import FlowGraph, SceneGraph, build_flow, build_multirel
-from .decoder import DecoderState, StepTrace, init_decoder_params
+from .decoder import DecoderState, init_decoder_params
 
 __all__ = ["ModelConfig", "Prepared", "CaptionModel"]
 
@@ -42,22 +42,6 @@ class ModelConfig:
             raise ShapeError("at least one attention branch must stay enabled")
         if self.dim < 1 or self.n_layers < 0:
             raise ShapeError("bad model dimensions")
-
-    def to_json(self) -> dict:
-        return {
-            "dim": self.dim,
-            "n_layers": self.n_layers,
-            "max_attrs": self.max_attrs,
-            "use_role_embed": self.use_role_embed,
-            "use_mrgcn": self.use_mrgcn,
-            "use_content_attention": self.use_content_attention,
-            "use_flow_attention": self.use_flow_attention,
-            "use_graph_update": self.use_graph_update,
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ModelConfig":
-        return cls(**obj)
 
 
 @dataclass
@@ -156,18 +140,10 @@ class CaptionModel:
 
     def step(self, prepared: Prepared, state: DecoderState, prev_id: int):
         """Decoding-facing step: clones the state so beam hypotheses
-        stay isolated, and returns log-probabilities as an array plus the
-        step's attention trace (with an empty token)."""
-        new_state, probs, modes, beta, sentinel = self._step(prepared, state, prev_id)
-        log_probs = np.log(np.maximum(probs.data, 1e-300))
-        trace = StepTrace(
-            token="",
-            alpha=[float(v) for v in new_state.alpha.data],
-            beta=float(beta.data[0]) if beta is not None else None,
-            modes=[float(v) for v in modes.data] if modes is not None else None,
-            sentinel=float(sentinel.data[0]) if sentinel is not None else 1.0,
-        )
-        return _clone_state(new_state), log_probs, trace
+        stay isolated, and returns it with the log-probabilities as an
+        array."""
+        new_state, probs, *_ = self._step(prepared, state, prev_id)
+        return _clone_state(new_state), np.log(np.maximum(probs.data, 1e-300))
 
     # -- training loss ------------------------------------------------------
 

@@ -5,22 +5,23 @@ over a shuffled mini-batch, one Adam step per batch, gradients zeroed
 explicitly between batches.  Everything is seeded, so a run is a pure
 function of (config, dataset).
 
-A checkpoint is a directory: ``manifest.json`` + ``weights.bin`` (the
-numeric-core weight format), ``train_config.json``, and ``vocab.json``.
-Reloading reproduces bit-identical forward passes.
+A checkpoint is a directory: ``manifest.json`` (the ordered list of
+``{"name", "shape"}`` of every parameter), ``weights.bin`` (their
+row-major little-endian float64 buffers concatenated in manifest
+order), ``train_config.json``, and ``vocab.json``.  Reloading
+reproduces bit-identical forward passes.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
-from .checkpoint import assign_weights, load_weights, save_weights
 from .errors import NumericError, ShapeError
 from .grammar import Vocab
 from .graph import SceneGraph
@@ -32,65 +33,38 @@ __all__ = ["TrainConfig", "Checkpoint", "train", "Dataset", "Instance"]
 
 
 @dataclass(frozen=True)
-class TrainConfig:
-    dim: int = 64
-    n_layers: int = 2
+class TrainConfig(ModelConfig):
+    """Model switches (inherited from ``ModelConfig``) plus the training
+    and decoding settings.  ``beam`` is the decode width; 1 is greedy."""
+
     lr: float = 2e-3
     batch_size: int = 32
     epochs: int = 30
     seed: int = 0
     max_len: int = 20
     beam: int = 5
-    max_attrs: int = 4
-    use_role_embed: bool = True
-    use_mrgcn: bool = True
-    use_content_attention: bool = True
-    use_flow_attention: bool = True
-    use_graph_update: bool = True
-    use_beam_search: bool = True
 
     def __post_init__(self):
-        if self.dim < 1 or self.batch_size < 1 or self.max_len < 1 or self.beam < 1:
+        super().__post_init__()
+        if self.batch_size < 1 or self.max_len < 1 or self.beam < 1:
             raise ShapeError("train config numerics must be positive")
         if self.lr <= 0 or self.epochs < 0:
             raise ShapeError("bad learning rate or epoch count")
-        if not (self.use_content_attention or self.use_flow_attention):
-            raise ShapeError("at least one attention branch must stay enabled")
 
     def model_config(self) -> ModelConfig:
-        return ModelConfig(
-            dim=self.dim,
-            n_layers=self.n_layers,
-            max_attrs=self.max_attrs,
-            use_role_embed=self.use_role_embed,
-            use_mrgcn=self.use_mrgcn,
-            use_content_attention=self.use_content_attention,
-            use_flow_attention=self.use_flow_attention,
-            use_graph_update=self.use_graph_update,
-        )
-
-    def to_json(self) -> dict:
-        return {
-            "dim": self.dim,
-            "n_layers": self.n_layers,
-            "lr": self.lr,
-            "batch_size": self.batch_size,
-            "epochs": self.epochs,
-            "seed": self.seed,
-            "max_len": self.max_len,
-            "beam": self.beam,
-            "max_attrs": self.max_attrs,
-            "use_role_embed": self.use_role_embed,
-            "use_mrgcn": self.use_mrgcn,
-            "use_content_attention": self.use_content_attention,
-            "use_flow_attention": self.use_flow_attention,
-            "use_graph_update": self.use_graph_update,
-            "use_beam_search": self.use_beam_search,
-        }
+        return ModelConfig(**{f.name: getattr(self, f.name) for f in fields(ModelConfig)})
 
     @classmethod
     def from_json(cls, obj: dict) -> "TrainConfig":
-        return cls(**obj)
+        """Rebuild from ``train_config.json``.  Older files also carry
+        ``use_beam_search``; false there means greedy, i.e. ``beam=1``."""
+        try:
+            obj = dict(obj)
+            if obj.pop("use_beam_search", True) is False:
+                obj["beam"] = 1
+            return cls(**obj)
+        except TypeError as exc:
+            raise ShapeError(f"bad train config: {exc}") from None
 
 
 @dataclass
@@ -113,6 +87,10 @@ class Dataset:
         return features_for(self.scenes[inst.scene_id], inst.graph, self.world)
 
 
+def _manifest(named_params) -> list[dict]:
+    return [{"name": n, "shape": list(t.data.shape)} for n, t in named_params]
+
+
 @dataclass
 class Checkpoint:
     config: TrainConfig
@@ -122,19 +100,41 @@ class Checkpoint:
     def save(self, directory: str | Path) -> None:
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        save_weights(directory, self.model.named_parameters())
+        named = self.model.named_parameters()
+        with open(directory / "manifest.json", "w") as fh:
+            json.dump(_manifest(named), fh, indent=1)
+        with open(directory / "weights.bin", "wb") as fh:
+            for _, t in named:
+                fh.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
         with open(directory / "train_config.json", "w") as fh:
-            json.dump(self.config.to_json(), fh, indent=1)
+            json.dump(asdict(self.config), fh, indent=1)
         self.vocab.save(directory / "vocab.json")
 
     @classmethod
     def load(cls, directory: str | Path) -> "Checkpoint":
+        """Rebuild the model of ``train_config.json`` and fill it from the
+        weights; raises ``ShapeError`` unless the manifest lists exactly
+        the model's parameters and ``weights.bin`` holds exactly their
+        values."""
         directory = Path(directory)
         with open(directory / "train_config.json") as fh:
             config = TrainConfig.from_json(json.load(fh))
         vocab = Vocab.load(directory / "vocab.json")
         model = CaptionModel(config.model_config(), vocab, seed=config.seed)
-        assign_weights(model.named_parameters(), load_weights(directory))
+        named = model.named_parameters()
+        with open(directory / "manifest.json") as fh:
+            if json.load(fh) != _manifest(named):
+                raise ShapeError(f"{directory / 'manifest.json'} does not list this model's parameters")
+        raw = (directory / "weights.bin").read_bytes()
+        expected = 8 * sum(t.data.size for _, t in named)
+        if len(raw) != expected:
+            raise ShapeError(f"weights.bin holds {len(raw)} bytes, the manifest needs {expected}")
+        flat = np.frombuffer(raw, dtype="<f8")
+        offset = 0
+        for _, t in named:
+            n = t.data.size
+            t.data = flat[offset : offset + n].astype(np.float64).reshape(t.data.shape)
+            offset += n
         return cls(config=config, vocab=vocab, model=model)
 
 

@@ -70,19 +70,6 @@ class WorldConfig:
     def grammar(self) -> Grammar:
         return Grammar(self.n_object_classes, self.n_attr_classes, self.n_rel_classes)
 
-    def to_json(self) -> dict:
-        return {
-            "n_object_classes": self.n_object_classes,
-            "n_attr_classes": self.n_attr_classes,
-            "n_rel_classes": self.n_rel_classes,
-            "dim": self.dim,
-            "noise": self.noise,
-            "min_objects": self.min_objects,
-            "max_objects": self.max_objects,
-            "max_attrs_per_object": self.max_attrs_per_object,
-            "prototype_seed": self.prototype_seed,
-        }
-
     @classmethod
     def from_json(cls, obj: dict) -> "WorldConfig":
         return cls(**obj)

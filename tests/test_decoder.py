@@ -307,7 +307,7 @@ def enumerate_sequences(model, g, feats, max_len, eos_id):
             leaves.append((tuple(tokens), score))
             return
         prev = tokens[-1] if tokens else model.bos_id
-        new_state, log_probs, _ = model.step(prepared, state, prev)
+        new_state, log_probs = model.step(prepared, state, prev)
         for tok in range(len(log_probs)):
             walk(new_state, tokens + [tok], score + float(log_probs[tok]))
 
@@ -325,7 +325,7 @@ class TestBeamSearch:
         tokens = []
         prev = model.bos_id
         for _ in range(6):
-            state, lp, _ = model.step(prepared, state, prev)
+            state, lp = model.step(prepared, state, prev)
             prev = int(np.argmax(lp))
             tokens.append(prev)
             if prev == model.eos_id:
@@ -377,9 +377,9 @@ class TestStepInvariants:
         state = model.initial_state(prepared)
         for _ in range(60):
             prev = int(rng.integers(len(model.vocab)))
-            state, _, trace = model.step(prepared, state, prev)
-            alpha = np.array(trace.alpha)
+            state, _, modes, beta, _ = model._step(prepared, state, prev)
+            alpha = state.alpha.data
             assert alpha.min() >= 0 and abs(alpha.sum() - 1.0) < 1e-9
-            assert 0.0 < trace.beta < 1.0
-            s = np.array(trace.modes)
+            assert 0.0 < beta.data[0] < 1.0
+            s = modes.data
             assert s.min() >= 0 and abs(s.sum() - 1.0) < 1e-9

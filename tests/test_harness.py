@@ -1,17 +1,21 @@
-"""Harness tests: training determinism, checkpoint round trips, the
-ablation smoke matrix, and the command-line surface end to end."""
+"""Harness tests: training determinism, checkpoint round trips and
+rejection of bad checkpoints, the beam-width contract, the ablation
+smoke matrix, and the command-line surface end to end."""
 
 import json
+import shutil
 import subprocess
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from graphcap.errors import ShapeError
-from graphcap.graph import asg_from_json
+from graphcap.graph import asg_from_json, asg_to_json
+from graphcap.model import CaptionModel
 from graphcap.training import Checkpoint, Dataset, Instance, TrainConfig, train
-from graphcap.worldgen import WorldConfig, features_for, gen_dataset, scene_from_json
+from graphcap.worldgen import WorldConfig, features_for, gen_dataset, scene_from_json, scene_to_json
 
 
 def tiny_dataset(n=12, dim=12, seed=0):
@@ -176,15 +180,121 @@ class TestAblationMatrix:
             use_content_attention=ctn,
             use_flow_attention=flow,
             use_graph_update=gupdt,
-            use_beam_search=bs,
+            beam=2 if bs else 1,
         )
         ckpt, curve = train(cfg, ds)
         assert len(curve) == 1 and np.isfinite(curve[0])
         inst = ds.instances[0]
-        toks = ckpt.model.caption_tokens(
-            inst.graph, ds.features(inst), beam=cfg.beam if bs else 1
-        )
+        toks = ckpt.model.caption_tokens(inst.graph, ds.features(inst), beam=cfg.beam)
         assert isinstance(toks, list)
+
+
+@pytest.fixture(scope="module")
+def saved(tmp_path_factory):
+    """A tiny checkpoint trained with beam=2, plus a scene, a control
+    graph and the world config to caption it with."""
+    root = tmp_path_factory.mktemp("saved")
+    ds = tiny_dataset(6)
+    ckpt, _ = train(tiny_config(), ds)
+    ckpt.save(root / "ckpt")
+    inst = ds.instances[0]
+    (root / "scene.json").write_text(json.dumps(scene_to_json(ds.scenes[inst.scene_id])))
+    (root / "asg.json").write_text(json.dumps(asg_to_json(inst.graph)))
+    (root / "world.json").write_text(json.dumps(asdict(ds.world)))
+    return root
+
+
+def edited_checkpoint(saved, tmp_path, edits):
+    """Copy the saved checkpoint and apply each file's edit: a function
+    of the parsed JSON, or of the raw bytes of weights.bin."""
+    ck = tmp_path / "ck"
+    shutil.copytree(saved / "ckpt", ck)
+    for name, edit in edits.items():
+        path = ck / name
+        if name.endswith(".json"):
+            path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        else:
+            path.write_bytes(edit(path.read_bytes()))
+    return ck
+
+
+def caption(saved, ckpt_dir, *extra):
+    from graphcap.cli import main
+
+    return main([
+        "caption", "--ckpt", str(ckpt_dir), "--scene", str(saved / "scene.json"),
+        "--asg", str(saved / "asg.json"), "--world", str(saved / "world.json"),
+        *map(str, extra),
+    ])
+
+
+def legacy_greedy(config):
+    """A train_config.json from before ``beam`` was the only decode-width
+    switch, written by ``train --greedy``."""
+    return {**config, "use_beam_search": False}
+
+
+@pytest.fixture
+def decode_widths(monkeypatch):
+    """Records the beam width of every CaptionModel.decode call."""
+    widths = []
+    original = CaptionModel.decode
+
+    def recording(self, g, feats, beam=5, max_len=20):
+        widths.append(beam)
+        return original(self, g, feats, beam=beam, max_len=max_len)
+
+    monkeypatch.setattr(CaptionModel, "decode", recording)
+    return widths
+
+
+class TestBeamWidth:
+    def test_beam_one_checkpoint_evaluates_greedily(self, decode_widths):
+        from graphcap.evaluation import evaluate_control
+
+        ds = tiny_dataset(6)
+        ckpt, _ = train(tiny_config(beam=1), ds)
+        evaluate_control(ckpt, ds)
+        assert decode_widths == [1] * len(ds.instances)
+
+    @pytest.mark.parametrize(
+        "legacy,flags,width",
+        [(False, (), 2), (True, (), 1), (True, ("--beam", 3), 3)],
+        ids=["checkpoint-width", "legacy-greedy", "explicit-beam-wins"],
+    )
+    def test_caption_width(self, saved, tmp_path, decode_widths, legacy, flags, width):
+        ck = edited_checkpoint(saved, tmp_path, {"train_config.json": legacy_greedy} if legacy else {})
+        assert caption(saved, ck, *flags) == 0
+        assert decode_widths == [width]
+
+    def test_legacy_use_beam_search_false_loads_as_greedy(self, saved, tmp_path):
+        ck = edited_checkpoint(saved, tmp_path, {"train_config.json": legacy_greedy})
+        assert Checkpoint.load(ck).config.beam == 1
+        assert TrainConfig.from_json({"use_beam_search": True, "beam": 4}).beam == 4
+
+
+class TestBadCheckpoint:
+    @pytest.mark.parametrize(
+        "edits",
+        [
+            {"weights.bin": lambda raw: raw[:-8]},
+            # an extra tensor, with weights.bin holding its values
+            {
+                "manifest.json": lambda m: m + [{"name": "decoder.extra", "shape": [2]}],
+                "weights.bin": lambda raw: raw + bytes(16),
+            },
+            {"train_config.json": lambda config: {**config, "no_such_key": 1}},
+        ],
+        ids=["truncated-weights", "extra-tensor", "unknown-config-key"],
+    )
+    def test_load_raises_shape_error_and_caption_exits_2(self, saved, tmp_path, capsys, edits):
+        ck = edited_checkpoint(saved, tmp_path, edits)
+        with pytest.raises(ShapeError):
+            Checkpoint.load(ck)
+        capsys.readouterr()
+        assert caption(saved, ck) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
 
 
 @pytest.fixture(scope="module")
@@ -249,8 +359,7 @@ class TestCli:
             world = WorldConfig.from_json(json.load(fh))
         graph = asg_from_json(root / "asg.json")
         feats = features_for(scene_from_json(json.loads(first_scene)), graph, world)
-        beam = 2 if ckpt.config.use_beam_search else 1
-        best = ckpt.model.decode(graph, feats, beam=beam, max_len=ckpt.config.max_len)[0]
+        best = ckpt.model.decode(graph, feats, beam=2, max_len=ckpt.config.max_len)[0]
         assert [st["token"] for st in trace] == [ckpt.model.token_text(t) for t in best.tokens]
 
         assert self.run_cli(
