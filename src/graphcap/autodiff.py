@@ -1,7 +1,10 @@
 """Dense float64 tensors with reverse-mode differentiation.
 
 Every learned computation in the package is expressed through the small
-primitive set defined here.  Forward execution is eager numpy; when a
+primitive set defined here, plus the fused sub-module primitives that
+the encoder and decoder record through :func:`primitive` (one tape
+entry per LSTM cell, attention, graph update or relational layer, with
+a hand-written adjoint).  Forward execution is eager numpy; when a
 recording tape is active, each primitive appends an entry with its
 adjoint rule, and :func:`backward` walks the tape in reverse to
 accumulate exact gradients into leaf tensors.
@@ -38,6 +41,7 @@ __all__ = [
     "record",
     "backward",
     "zero_grads",
+    "primitive",
     "matmul",
     "add",
     "sub",
@@ -122,20 +126,21 @@ def _wrap(x) -> Tensor:
 
 
 class _Entry:
-    """One executed primitive: its inputs, its output and its adjoint rule."""
+    """One executed primitive: its inputs, its output (a tuple of tensors
+    for a multi-output primitive) and its adjoint rule."""
 
     __slots__ = ("inputs", "out", "bwd")
 
     def __init__(self, inputs, out, bwd):
         self.inputs = inputs
         self.out = out
-        self.bwd = bwd  # (g: ndarray) -> tuple of input adjoints (None entries allowed)
+        self.bwd = bwd  # (*output adjoints) -> tuple of input adjoints (None entries allowed)
 
 
 class Tape:
     """Ordered record of executed primitives (topological by construction).
 
-    Each entry's output is a tensor freshly created by that primitive.
+    Each entry's outputs are tensors freshly created by that primitive.
     """
 
     __slots__ = ("entries",)
@@ -173,6 +178,15 @@ def _finite_or_raise(arr: np.ndarray, opname: str) -> None:
         raise NumericError(f"{opname} produced a non-finite value")
 
 
+def _fresh(data: np.ndarray, requires_grad: bool) -> Tensor:
+    out = Tensor.__new__(Tensor)
+    out.data = data
+    out.requires_grad = requires_grad
+    out.grad = None
+    out.name = ""
+    return out
+
+
 def _emit(opname, inputs, out_data, bwd) -> Tensor:
     # div and log are the ops that create non-finite values from sane
     # finite inputs, so they are always scanned; the bounded and
@@ -180,22 +194,36 @@ def _emit(opname, inputs, out_data, bwd) -> Tensor:
     # remaining ops (possible only near 1e308) surfaces at the loss
     if opname in _CHECKED_OPS:
         _finite_or_raise(out_data, opname)
-    out = Tensor.__new__(Tensor)
-    out.data = out_data
-    out.requires_grad = False
-    out.grad = None
-    out.name = ""
+    return primitive(inputs, out_data, bwd)
+
+
+_CHECKED_OPS = frozenset({"div", "log"})
+
+
+def primitive(inputs: Sequence[Tensor], outputs, bwd):
+    """Record one primitive computed by the caller.
+
+    ``outputs`` is the forward result: one array, or a tuple of arrays
+    for a multi-output primitive, which then returns a tuple of
+    tensors.  ``bwd`` receives one adjoint per output, in order, with
+    zeros for an output that does not reach the loss, and returns one
+    adjoint (or None) per input.
+    """
     tape = _CURRENT_TAPE.get()
     if tape is not None:
         for t in inputs:
             if t.requires_grad:
-                out.requires_grad = True
-                tape.entries.append(_Entry(inputs, out, bwd))
                 break
+        else:
+            tape = None
+    grad = tape is not None
+    if type(outputs) is tuple:
+        out = tuple([_fresh(o, grad) for o in outputs])
+    else:
+        out = _fresh(outputs, grad)
+    if grad:
+        tape.entries.append(_Entry(inputs, out, bwd))
     return out
-
-
-_CHECKED_OPS = frozenset({"div", "log"})
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -470,17 +498,31 @@ def backward(tape: Tape, loss: Tensor) -> None:
     """
     if loss.data.size != 1:
         raise ShapeError(f"loss must be scalar, got shape {loss.data.shape}")
-    produced = {id(e.out) for e in tape.entries}
+    produced = set()
+    for e in tape.entries:
+        if type(e.out) is tuple:
+            produced.update(id(o) for o in e.out)
+        else:
+            produced.add(id(e.out))
     if id(loss) not in produced and not loss.requires_grad:
         raise ShapeError("loss is not reachable from the recorded tape")
 
     adjoint: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
 
     for entry in reversed(tape.entries):
-        g = adjoint.pop(id(entry.out), None)
-        if g is None:
-            continue
-        grads = entry.bwd(g)
+        out = entry.out
+        if type(out) is tuple:
+            gs = [adjoint.pop(id(o), None) for o in out]
+            if all(g is None for g in gs):
+                continue
+            grads = entry.bwd(
+                *(np.zeros_like(o.data) if g is None else g for o, g in zip(out, gs))
+            )
+        else:
+            g = adjoint.pop(id(out), None)
+            if g is None:
+                continue
+            grads = entry.bwd(g)
         for t, gt in zip(entry.inputs, grads):
             if gt is None or not t.requires_grad:
                 continue

@@ -18,13 +18,13 @@ from pathlib import Path
 import numpy as np
 
 from .autoasg import auto_generate_asg, jitter_proposals, train_relation_classifier
-from .errors import GraphCapError
+from .errors import GraphCapError, ShapeError
 from .evaluation import evaluate_control, evaluate_diversity
 from .gradcheck import grad_check
 from .grammar import Vocab
 from .graph import asg_from_json, asg_to_json, sample_subgraph, validate_asg
 from .model import CaptionModel, ModelConfig
-from .training import Checkpoint, Dataset, Instance, TrainConfig, train
+from .training import Checkpoint, Dataset, Instance, TrainConfig, read_json, train
 from .worldgen import (
     WorldConfig,
     features_for,
@@ -38,8 +38,12 @@ from .worldgen import (
 
 
 def _read_world(path: str | Path) -> WorldConfig:
-    with open(path) as fh:
-        return WorldConfig.from_json(json.load(fh))
+    """The world config in ``path``; an unknown key or a bad value
+    raises ``ShapeError``, as malformed JSON does."""
+    try:
+        return WorldConfig.from_json(read_json(path))
+    except (TypeError, ValueError) as exc:
+        raise ShapeError(f"bad world config {path}: {exc}") from None
 
 
 def _load_dataset(data_dir: str | Path) -> Dataset:

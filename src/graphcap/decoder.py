@@ -13,8 +13,10 @@ sigmoid gate fuses the two.  After each emitted word, every slot is
 rewritten by an erase-then-add update scaled by its attention mass and
 a scalar sentinel (so function words leave the graph memory untouched).
 
-All operations run through the autodiff primitives, so a recorded
-decode is differentiable end to end.
+Each sub-module (LSTM cell, content attention, flow attention, the
+fusion gate with its context, the output layer and the graph update) is
+one autodiff primitive with a hand-written adjoint, so a recorded decode
+is differentiable end to end.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import Tensor, _sigmoid_raw, _softmax_raw
 from .errors import ShapeError
 from .graph import FlowGraph
 
@@ -172,16 +174,28 @@ def init_state(x_enc: Tensor, fg: FlowGraph) -> DecoderState:
 
 
 def lstm_step(cell: LstmParams, x: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
+    """One LSTM cell in the fused-gate form of Appleyard et al.
+    (arXiv 1604.01946): the input projection, then a single primitive
+    for the recurrent product, the four gates (order i, f, o, g) and
+    the new (h, c)."""
+    xw = ad.matmul(x, cell.w_ih)
     d = cell.hidden
-    gates = ad.add(ad.add(ad.matmul(x, cell.w_ih), ad.matmul(h, cell.w_hh)), cell.bias)
-    ifo = ad.sigmoid(ad.tslice(gates, slice(0, 3 * d)))  # gate order i, f, o, g
-    i = ad.tslice(ifo, slice(0, d))
-    f = ad.tslice(ifo, slice(d, 2 * d))
-    o = ad.tslice(ifo, slice(2 * d, 3 * d))
-    g = ad.tanh(ad.tslice(gates, slice(3 * d, 4 * d)))
-    c_new = ad.add(ad.mul(f, c), ad.mul(i, g))
-    h_new = ad.mul(o, ad.tanh(c_new))
-    return h_new, c_new
+    w_hh, bias = cell.w_hh, cell.bias
+    gates = xw.data + h.data @ w_hh.data + bias.data
+    ifo = _sigmoid_raw(gates[: 3 * d])
+    i, f, o = ifo[:d], ifo[d : 2 * d], ifo[2 * d :]
+    g = np.tanh(gates[3 * d :])
+    c_new = f * c.data + i * g
+    tanh_c = np.tanh(c_new)
+
+    def bwd(gh, gc):
+        gc = gc + gh * o * (1.0 - tanh_c * tanh_c)
+        dgates = np.concatenate([gc * g, gc * c.data, gh * tanh_c, gc * i])
+        dgates[: 3 * d] *= ifo * (1.0 - ifo)
+        dgates[3 * d :] *= 1.0 - g * g
+        return dgates, w_hh.data @ dgates, gc * f, np.outer(h.data, dgates), dgates
+
+    return ad.primitive((xw, h, c, w_hh, bias), (o * tanh_c, c_new), bwd)
 
 
 def attention_query_step(
@@ -194,19 +208,39 @@ def attention_query_step(
 
 
 def content_attention(params: DecoderParams, x_nodes: Tensor, h_query: Tensor) -> Tensor:
-    hidden = ad.tanh(
-        ad.add(ad.matmul(x_nodes, params.content_wx), ad.matmul(h_query, params.content_wh))
-    )
-    scores = ad.matmul(hidden, params.content_score)
-    return ad.softmax(scores)
+    """softmax over slots of w_c . tanh(X W_x + h W_h), as one primitive."""
+    wx, wh, ws = params.content_wx, params.content_wh, params.content_score
+    hidden = np.tanh(x_nodes.data @ wx.data + h_query.data @ wh.data)
+    alpha = _softmax_raw(hidden @ ws.data)
+
+    def bwd(g):
+        dscores = alpha * (g - g @ alpha)
+        dpre = np.outer(dscores, ws.data) * (1.0 - hidden * hidden)
+        dh = dpre.sum(axis=0)
+        return (
+            dpre @ wx.data.T,
+            wh.data @ dh,
+            x_nodes.data.T @ dpre,
+            np.outer(h_query.data, dh),
+            hidden.T @ dscores,
+        )
+
+    return ad.primitive((x_nodes, h_query, wx, wh, ws), alpha, bwd)
 
 
-def _renormalize(moved: Tensor, fallback: Tensor) -> Tensor:
+def _renormalize(moved: np.ndarray, fallback: np.ndarray):
     """Scale back to a distribution, keeping the previous attention when
-    the transported mass vanishes."""
-    if float(moved.data.sum()) < 1e-12:
-        return fallback
-    return ad.div(moved, ad.tsum(moved))
+    the transported mass vanishes.  Returns (distribution, mass), with
+    mass None on the fallback."""
+    mass = moved.sum()
+    if mass < 1e-12:
+        return fallback, None
+    return moved / mass, mass
+
+
+def _renormalize_adjoint(g: np.ndarray, dist: np.ndarray, mass) -> np.ndarray:
+    """Adjoint of ``moved / moved.sum()`` with respect to ``moved``."""
+    return (g - g @ dist) / mass
 
 
 def flow_attention(
@@ -216,28 +250,50 @@ def flow_attention(
     h_query: Tensor,
     z_prev: Tensor,
 ) -> tuple[Tensor, Tensor]:
-    """Returns (flow attention, mode distribution s over stay/1-hop/2-hop).
+    """Returns (flow attention, mode distribution s over stay/1-hop/2-hop),
+    both outputs of one primitive.
 
     The three transports share the matrix products: the un-normalized
     1-hop result feeds the 2-hop product before either is renormalized.
     """
-    pre = ad.relu(
-        ad.add(ad.matmul(h_query, params.flow_wh), ad.matmul(z_prev, params.flow_wz))
-    )
-    modes = ad.softmax(ad.matmul(pre, params.flow_mode))
-    m = ad.tensor(fg.matrix)
-    moved1 = ad.matmul(m, alpha_prev)
-    moved2 = ad.matmul(m, moved1)
-    transports = (
-        alpha_prev,
-        _renormalize(moved1, alpha_prev),
-        _renormalize(moved2, alpha_prev),
-    )
-    total = None
-    for k, moved in enumerate(transports):
-        term = ad.mul(ad.tslice(modes, slice(k, k + 1)), moved)
-        total = term if total is None else ad.add(total, term)
-    return total, modes
+    wh, wz, wm = params.flow_wh, params.flow_wz, params.flow_mode
+    m = fg.matrix
+    a = alpha_prev.data
+    lin = h_query.data @ wh.data + z_prev.data @ wz.data
+    pre = np.maximum(lin, 0.0)
+    modes = _softmax_raw(pre @ wm.data)
+    moved1 = m @ a
+    moved2 = m @ moved1
+    t1, mass1 = _renormalize(moved1, a)
+    t2, mass2 = _renormalize(moved2, a)
+    total = modes[0] * a + modes[1] * t1 + modes[2] * t2
+
+    def bwd(g, g_modes):
+        g_modes = g_modes + np.array([g @ a, g @ t1, g @ t2])
+        g_a = modes[0] * g
+        g_t1, g_t2 = modes[1] * g, modes[2] * g
+        g_moved1 = np.zeros_like(a)
+        if mass2 is None:
+            g_a = g_a + g_t2
+        else:
+            g_moved1 = m.T @ _renormalize_adjoint(g_t2, t2, mass2)
+        if mass1 is None:
+            g_a = g_a + g_t1
+        else:
+            g_moved1 = g_moved1 + _renormalize_adjoint(g_t1, t1, mass1)
+        g_a = g_a + m.T @ g_moved1
+        g_logits = modes * (g_modes - g_modes @ modes)
+        dpre = (wm.data @ g_logits) * (lin > 0)
+        return (
+            g_a,
+            wh.data @ dpre,
+            wz.data @ dpre,
+            np.outer(h_query.data, dpre),
+            np.outer(z_prev.data, dpre),
+            np.outer(pre, g_logits),
+        )
+
+    return ad.primitive((alpha_prev, h_query, z_prev, wh, wz, wm), (total, modes), bwd)
 
 
 def fuse_and_context(
@@ -251,34 +307,58 @@ def fuse_and_context(
     """Blend the two attentions and take the attended context vector.
 
     Either attention may be absent (ablations); the gate is only
-    evaluated when both are present.  Returns (alpha, context, beta).
+    evaluated when both are present, and then the gate, the blend and
+    the context are one primitive.  Returns (alpha, context, beta).
     """
     if alpha_content is None and alpha_flow is None:
         raise ShapeError("at least one attention branch must be enabled")
-    beta = None
-    if alpha_content is None:
-        alpha = alpha_flow
-    elif alpha_flow is None:
-        alpha = alpha_content
-    else:
-        pre = ad.relu(
-            ad.add(ad.matmul(h_query, params.fuse_wh), ad.matmul(z_prev, params.fuse_wz))
+    if alpha_content is None or alpha_flow is None:
+        alpha = alpha_flow if alpha_content is None else alpha_content
+        return alpha, ad.matmul(alpha, x_nodes), None
+    wh, wz, wg = params.fuse_wh, params.fuse_wz, params.fuse_gate
+    ac, af, x = alpha_content.data, alpha_flow.data, x_nodes.data
+    lin = h_query.data @ wh.data + z_prev.data @ wz.data
+    pre = np.maximum(lin, 0.0)
+    beta = _sigmoid_raw((pre @ wg.data).reshape(1))
+    alpha = beta * ac + (1.0 - beta) * af
+
+    def bwd(g_alpha, g_context, g_beta):
+        g_alpha = g_alpha + x @ g_context
+        g_gate = (g_beta + g_alpha @ (ac - af)) * beta * (1.0 - beta)
+        dpre = wg.data * g_gate * (lin > 0)
+        return (
+            beta * g_alpha,
+            (1.0 - beta) * g_alpha,
+            wh.data @ dpre,
+            wz.data @ dpre,
+            np.outer(alpha, g_context),
+            np.outer(h_query.data, dpre),
+            np.outer(z_prev.data, dpre),
+            pre * g_gate,
         )
-        beta = ad.sigmoid(ad.reshape(ad.matmul(pre, params.fuse_gate), (1,)))
-        one_minus = ad.sub(ad.tensor([1.0]), beta)
-        alpha = ad.add(ad.mul(beta, alpha_content), ad.mul(one_minus, alpha_flow))
-    context = ad.matmul(alpha, x_nodes)
-    return alpha, context, beta
+
+    return ad.primitive(
+        (alpha_content, alpha_flow, h_query, z_prev, x_nodes, wh, wz, wg),
+        (alpha, alpha @ x, beta),
+        bwd,
+    )
 
 
 def language_step(
     params: DecoderParams, state: DecoderState, context: Tensor, h_query: Tensor
 ) -> tuple[Tensor, Tensor, Tensor]:
-    """Language cell plus word projection: returns (h, c, probabilities)."""
+    """Language cell plus word projection: returns (h, c, probabilities).
+    The projection, its bias and the softmax are one primitive."""
     x = ad.concat([context, h_query], axis=0)
     h_new, c_new = lstm_step(params.lang_cell, x, state.h_lang, state.c_lang)
-    probs = ad.softmax(ad.add(ad.matmul(h_new, params.w_out), params.b_out))
-    return h_new, c_new, probs
+    w, b = params.w_out, params.b_out
+    probs = _softmax_raw(h_new.data @ w.data + b.data)
+
+    def bwd(g):
+        dlogits = probs * (g - g @ probs)
+        return w.data @ dlogits, np.outer(h_new.data, dlogits), dlogits
+
+    return h_new, c_new, ad.primitive((h_new, w, b), probs, bwd)
 
 
 def graph_update(
@@ -286,21 +366,43 @@ def graph_update(
 ) -> tuple[Tensor, Tensor]:
     """Erase-then-add rewrite of every slot, scaled by update intensity
     u = sentinel * attention.  Slots with zero intensity pass through
-    bit-identically.  Returns (new embeddings, sentinel value)."""
-    n_slots = x_nodes.data.shape[0]
-    sentinel = ad.sigmoid(
-        ad.add(ad.reshape(ad.matmul(h_lang, params.sentinel_w), (1,)), params.sentinel_b)
-    )
-    u = ad.mul(sentinel, alpha)  # (n_slots,)
-    u_col = ad.reshape(u, (n_slots, 1))
+    bit-identically.  Returns (new embeddings, sentinel value), both
+    outputs of one primitive."""
+    sw, sb = params.sentinel_w, params.sentinel_b
+    ew, eb, aw, ab = params.erase_w, params.erase_b, params.add_w, params.add_b
+    x, h, a = x_nodes.data, h_lang.data, alpha.data
+    n_slots, dim = x.shape
+    sentinel = _sigmoid_raw((h @ sw.data).reshape(1) + sb.data)
+    u = (sentinel * a).reshape(n_slots, 1)
+    paired = np.empty((n_slots, 2 * dim))
+    paired[:, :dim] = h
+    paired[:, dim:] = x
+    erase = _sigmoid_raw(paired @ ew.data + eb.data)
+    add_lin = paired @ aw.data + ab.data
+    added = np.maximum(add_lin, 0.0)
+    keep = 1.0 - u * erase
 
-    h_rows = ad.mul(ad.tensor(np.ones((n_slots, 1))), h_lang)  # broadcast h to every row
-    paired = ad.concat([h_rows, x_nodes], axis=1)
-    erase = ad.sigmoid(ad.add(ad.matmul(paired, params.erase_w), params.erase_b))
-    kept = ad.mul(x_nodes, ad.sub(ad.tensor([[1.0]]), ad.mul(u_col, erase)))
-    added = ad.relu(ad.add(ad.matmul(paired, params.add_w), params.add_b))
-    x_new = ad.add(kept, ad.mul(u_col, added))
-    return x_new, sentinel
+    def bwd(g, g_sentinel):
+        g_u = (g * (added - x * erase)).sum(axis=1)
+        g_erase = -g * x * u * erase * (1.0 - erase)
+        g_add = g * u * (add_lin > 0)
+        g_paired = g_erase @ ew.data.T + g_add @ aw.data.T
+        g_gate = (g_sentinel + g_u @ a) * sentinel * (1.0 - sentinel)
+        return (
+            g * keep + g_paired[:, dim:],
+            g_paired[:, :dim].sum(axis=0) + sw.data * g_gate,
+            sentinel * g_u,
+            h * g_gate,
+            g_gate,
+            paired.T @ g_erase,
+            g_erase.sum(axis=0),
+            paired.T @ g_add,
+            g_add.sum(axis=0),
+        )
+
+    return ad.primitive(
+        (x_nodes, h_lang, alpha, sw, sb, ew, eb, aw, ab), (x * keep + u * added, sentinel), bwd
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -362,4 +464,24 @@ def beam_search(
         if all(h.finished for h in beams):
             break
     beams.sort(key=lambda h: h.score, reverse=True)
+    # siblings share their parent's step result; the returned
+    # hypotheses each get their own copy
+    for hyp in beams:
+        hyp.state = _clone_state(hyp.state)
     return beams
+
+
+def _clone_state(state: DecoderState) -> DecoderState:
+    def c(t: Tensor) -> Tensor:
+        return ad.tensor(t.data.copy())
+
+    return DecoderState(
+        x_nodes=c(state.x_nodes),
+        h_att=c(state.h_att),
+        c_att=c(state.c_att),
+        h_lang=c(state.h_lang),
+        c_lang=c(state.c_lang),
+        alpha=c(state.alpha),
+        z=c(state.z),
+        t=state.t,
+    )

@@ -116,11 +116,18 @@ def role_embed(g: SceneGraph, feats: FeatureBundle, params: EncoderParams) -> Te
             pos_idx[node.id] = k
             attr_mask[node.id, 0] = 1.0
 
-    modulation = ad.add(
-        ad.lookup(params.role_table, roles),
-        ad.mul(ad.lookup(params.pos_table, pos_idx), ad.tensor(attr_mask)),
-    )
-    return ad.mul(ad.tensor(feats.node_features), modulation)
+    rt, pt, f = params.role_table, params.pos_table, feats.node_features
+    modulation = rt.data[roles] + pt.data[pos_idx] * attr_mask
+
+    def bwd(g):
+        g_mod = g * f
+        g_role = np.zeros_like(rt.data)
+        np.add.at(g_role, roles, g_mod)
+        g_pos = np.zeros_like(pt.data)
+        np.add.at(g_pos, pos_idx, g_mod * attr_mask)
+        return g_role, g_pos
+
+    return ad.primitive((rt, pt), f * modulation, bwd)
 
 
 def aggregation_matrices(mrg: MultiRelGraph) -> dict[str, np.ndarray]:
@@ -145,14 +152,29 @@ def mrgcn_layer(
     layer: LayerParams,
     agg: dict[str, np.ndarray] | None = None,
 ) -> Tensor:
-    """One relational convolution: relu(X W_self + sum_r A_r X W_r)."""
+    """One relational convolution, relu(X W_self + sum_r A_r X W_r), as
+    one primitive over the relations present (the per-relation block
+    form of Schlichtkrull et al., arXiv 1703.06103)."""
     if agg is None:
         agg = aggregation_matrices(mrg)
-    acc = ad.matmul(x, layer.w_self)
-    for kind, a in agg.items():
-        msg = ad.matmul(ad.tensor(a), ad.matmul(x, layer.w_rel[kind]))
-        acc = ad.add(acc, msg)
-    return ad.relu(acc)
+    kinds = list(agg)
+    w_self, w_rel = layer.w_self, [layer.w_rel[k] for k in kinds]
+    xd = x.data
+    acc = xd @ w_self.data
+    for k, w in zip(kinds, w_rel):
+        acc = acc + agg[k] @ (xd @ w.data)
+
+    def bwd(g):
+        g = g * (acc > 0)
+        g_x = g @ w_self.data.T
+        g_w = [xd.T @ g]
+        for k, w in zip(kinds, w_rel):
+            g_msg = agg[k].T @ g
+            g_x = g_x + g_msg @ w.data.T
+            g_w.append(xd.T @ g_msg)
+        return (g_x, *g_w)
+
+    return ad.primitive((x, w_self, *w_rel), np.maximum(acc, 0.0), bwd)
 
 
 def encode(

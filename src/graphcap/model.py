@@ -139,11 +139,11 @@ class CaptionModel:
         return new_state, probs, modes, beta, sentinel
 
     def step(self, prepared: Prepared, state: DecoderState, prev_id: int):
-        """Decoding-facing step: clones the state so beam hypotheses
-        stay isolated, and returns it with the log-probabilities as an
-        array."""
+        """Decoding-facing step: returns the fresh state that ``_step``
+        built (no primitive writes into its inputs, so states are never
+        shared mutably) and the log-probabilities as an array."""
         new_state, probs, *_ = self._step(prepared, state, prev_id)
-        return _clone_state(new_state), np.log(np.maximum(probs.data, 1e-300))
+        return new_state, np.log(np.maximum(probs.data, 1e-300))
 
     # -- training loss ------------------------------------------------------
 
@@ -183,19 +183,3 @@ def _graph_structures(nodes, edges):
     g = SceneGraph(nodes=nodes, edges=edges)
     mrg = build_multirel(g)
     return build_flow(g), mrg, aggregation_matrices(mrg)
-
-
-def _clone_state(state: DecoderState) -> DecoderState:
-    def c(t: Tensor) -> Tensor:
-        return ad.tensor(t.data.copy())
-
-    return DecoderState(
-        x_nodes=c(state.x_nodes),
-        h_att=c(state.h_att),
-        c_att=c(state.c_att),
-        h_lang=c(state.h_lang),
-        c_lang=c(state.c_lang),
-        alpha=c(state.alpha),
-        z=c(state.z),
-        t=state.t,
-    )

@@ -29,7 +29,16 @@ from .model import CaptionModel, ModelConfig
 from .optim import OptimizerState, adam_step
 from .worldgen import Scene, WorldConfig, features_for
 
-__all__ = ["TrainConfig", "Checkpoint", "train", "Dataset", "Instance"]
+__all__ = ["TrainConfig", "Checkpoint", "train", "Dataset", "Instance", "read_json"]
+
+
+def read_json(path: str | Path):
+    """Parse a JSON file; malformed or cut-short content raises
+    ``ShapeError``, so the CLI exits 2 on it."""
+    try:
+        return json.loads(Path(path).read_bytes())
+    except ValueError as exc:
+        raise ShapeError(f"{path} is not valid JSON: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -117,14 +126,12 @@ class Checkpoint:
         the model's parameters and ``weights.bin`` holds exactly their
         values."""
         directory = Path(directory)
-        with open(directory / "train_config.json") as fh:
-            config = TrainConfig.from_json(json.load(fh))
+        config = TrainConfig.from_json(read_json(directory / "train_config.json"))
         vocab = Vocab.load(directory / "vocab.json")
         model = CaptionModel(config.model_config(), vocab, seed=config.seed)
         named = model.named_parameters()
-        with open(directory / "manifest.json") as fh:
-            if json.load(fh) != _manifest(named):
-                raise ShapeError(f"{directory / 'manifest.json'} does not list this model's parameters")
+        if read_json(directory / "manifest.json") != _manifest(named):
+            raise ShapeError(f"{directory / 'manifest.json'} does not list this model's parameters")
         raw = (directory / "weights.bin").read_bytes()
         expected = 8 * sum(t.data.size for _, t in named)
         if len(raw) != expected:

@@ -1,15 +1,22 @@
-"""Numeric-core tests: forward values, adjoints vs central differences,
-tape isolation across threads, and the Adam update."""
+"""Numeric-core tests: forward values, adjoints vs central differences
+(basic and fused sub-module primitives, and whole models under each
+ablation switch), tape isolation across threads, and the Adam update."""
 
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from graphcap import autodiff as ad
+from graphcap import decoder as dec
+from graphcap import encoder as enc
 from graphcap.errors import NumericError, ShapeError
 from graphcap.gradcheck import grad_check
+from graphcap.grammar import Vocab
+from graphcap.graph import FlowGraph, Node, NodeRole, SceneGraph, build_flow, build_multirel
+from graphcap.model import CaptionModel, ModelConfig
 from graphcap.optim import OptimizerState, adam_step
 
 
@@ -200,6 +207,162 @@ class TestAdjointsMatchFiniteDifferences:
         t = ad.parameter(data)
         err = grad_check(lambda: f(t), [t], eps=1e-5)
         assert err < 1e-6, f"{name}: {err}"
+
+
+def chain_graph():
+    roles = [NodeRole.OBJECT, NodeRole.ATTRIBUTE, NodeRole.RELATIONSHIP, NodeRole.OBJECT]
+    nodes = tuple(Node(id=i, role=r, region=i) for i, r in enumerate(roles))
+    return SceneGraph(nodes=nodes, edges=((0, 1), (0, 2), (2, 3)))
+
+
+def weighted_sum(outputs, rng):
+    """A scalar reached by each of ``outputs`` through fixed random weights."""
+    total = None
+    for o in outputs:
+        term = ad.tsum(ad.mul(o, ad.tensor(rng.normal(size=o.shape))))
+        total = term if total is None else ad.add(total, term)
+    return total
+
+
+def _lstm(rng, d=3):
+    cell = dec.LstmParams(*(ad.parameter(rng.normal(size=s)) for s in ((2 * d, 4 * d), (d, 4 * d), (4 * d,))))
+    x, h, c = (ad.parameter(rng.normal(size=n)) for n in (2 * d, d, d))
+    return lambda: dec.lstm_step(cell, x, h, c), [x, h, c, cell.w_ih, cell.w_hh, cell.bias]
+
+
+def _content(rng, d=3):
+    p = dec.init_decoder_params(d, 5, rng)
+    x, h = ad.parameter(rng.normal(size=(4, d))), ad.parameter(rng.normal(size=d))
+    return lambda: (dec.content_attention(p, x, h),), [x, h, p.content_wx, p.content_wh, p.content_score]
+
+
+def _flow(rng, d=3, fg=None):
+    p = dec.init_decoder_params(d, 5, rng)
+    fg = fg or build_flow(chain_graph())
+    raw = rng.random(fg.n_slots) + 0.1
+    alpha = ad.parameter(raw / raw.sum())
+    h, z = ad.parameter(rng.normal(size=d)), ad.parameter(rng.normal(size=d))
+    return lambda: dec.flow_attention(p, fg, alpha, h, z), [alpha, h, z, p.flow_wh, p.flow_wz, p.flow_mode]
+
+
+def _nilpotent_flow(rng):
+    # one edge 0 -> 1: the 1-hop mass is alpha[0] and the 2-hop mass vanishes
+    m = np.zeros((4, 4))
+    m[1, 0] = 1.0
+    return _flow(rng, fg=FlowGraph(n_slots=4, edges=((0, 1),), matrix=m))
+
+
+def _no_flow(rng):
+    # no edges: both transports vanish and keep the previous attention
+    return _flow(rng, fg=FlowGraph(n_slots=4, edges=(), matrix=np.zeros((4, 4))))
+
+
+def _fuse(rng, d=3):
+    p = dec.init_decoder_params(d, 5, rng)
+    ac, af = (ad.parameter(rng.dirichlet(np.ones(4))) for _ in range(2))
+    h, z, x = ad.parameter(rng.normal(size=d)), ad.parameter(rng.normal(size=d)), ad.parameter(rng.normal(size=(4, d)))
+    return (
+        lambda: dec.fuse_and_context(p, ac, af, h, z, x),
+        [ac, af, h, z, x, p.fuse_wh, p.fuse_wz, p.fuse_gate],
+    )
+
+
+def _language(rng, d=3):
+    p = dec.init_decoder_params(d, 5, rng)
+    state = dec.init_state(ad.tensor(rng.normal(size=(5, d))), build_flow(chain_graph()))
+    state = replace(state, h_lang=ad.parameter(rng.normal(size=d)), c_lang=ad.parameter(rng.normal(size=d)))
+    ctx, hq = ad.parameter(rng.normal(size=d)), ad.parameter(rng.normal(size=d))
+    return (
+        lambda: dec.language_step(p, state, ctx, hq),
+        [state.h_lang, state.c_lang, ctx, hq, p.w_out, p.b_out, p.lang_cell.w_hh],
+    )
+
+
+def _graph_update(rng, d=3):
+    p = dec.init_decoder_params(d, 5, rng)
+    x, h = ad.parameter(rng.normal(size=(4, d))), ad.parameter(rng.normal(size=d))
+    alpha = ad.parameter(rng.dirichlet(np.ones(4)))
+    return (
+        lambda: dec.graph_update(p, x, h, alpha),
+        [x, h, alpha, p.sentinel_w, p.sentinel_b, p.erase_w, p.erase_b, p.add_w, p.add_b],
+    )
+
+
+def _role_embed(rng, d=3):
+    g = chain_graph()
+    params = enc.init_encoder_params(d, 1, 2, rng)
+    feats = enc.FeatureBundle(node_features=rng.normal(size=(4, d)), scene_feature=rng.normal(size=d))
+    return lambda: (enc.role_embed(g, feats, params),), [params.role_table, params.pos_table]
+
+
+def _mrgcn(rng, d=3):
+    g = chain_graph()
+    layer = enc.init_encoder_params(d, 1, 2, rng).layers[0]
+    x = ad.parameter(rng.normal(size=(4, d)))
+    mrg = build_multirel(g)
+    weights = [layer.w_self] + [layer.w_rel[k] for k in enc.aggregation_matrices(mrg)]
+    return lambda: (enc.mrgcn_layer(mrg, x, layer),), [x] + weights
+
+
+# name -> (maker of (forward, inputs to check), number of outputs)
+FUSED = {
+    "lstm_cell": (_lstm, 2),
+    "content_attention": (_content, 1),
+    "flow_attention": (_flow, 2),
+    "flow_attention_two_hop_vanishes": (_nilpotent_flow, 2),
+    "flow_attention_no_transport": (_no_flow, 2),
+    "fuse_and_context": (_fuse, 3),
+    "language_step": (_language, 3),
+    "graph_update": (_graph_update, 2),
+    "role_embed": (_role_embed, 1),
+    "mrgcn_layer": (_mrgcn, 1),
+}
+
+# every output together, then each output of a multi-output primitive
+# alone (the others reach the backward pass with zero adjoints)
+FUSED_CASES = [
+    (name, only) for name, (_, n) in FUSED.items() for only in [None] + (list(range(n)) if n > 1 else [])
+]
+
+
+class TestFusedAdjointsMatchFiniteDifferences:
+    @pytest.mark.parametrize(
+        "name,only", FUSED_CASES, ids=[f"{n}-{'all' if k is None else f'out{k}'}" for n, k in FUSED_CASES]
+    )
+    def test_fused(self, name, only):
+        rng = np.random.default_rng(sum(map(ord, name)))
+        fn, params = FUSED[name][0](rng)
+        weights_seed = int(rng.integers(2**32))
+
+        def loss():
+            outs = fn()
+            if only is not None:
+                outs = [outs[only]]
+            return weighted_sum(outs, np.random.default_rng(weights_seed))
+
+        err = grad_check(loss, params, eps=1e-6)
+        assert err < 1e-6, f"{name}: {err}"
+
+    def test_vanished_transport_keeps_previous_attention(self):
+        fn, params = _no_flow(np.random.default_rng(1))
+        total, _ = fn()
+        np.testing.assert_allclose(total.data, params[0].data, atol=1e-15)
+
+
+class TestModelGradCheckPerAblation:
+    """A whole d=2 model on a 3-token caption, with one switch off."""
+
+    @pytest.mark.parametrize(
+        "switch",
+        ["use_role_embed", "use_mrgcn", "use_content_attention", "use_flow_attention", "use_graph_update"],
+    )
+    def test_grad_check(self, switch):
+        rng = np.random.default_rng(3)
+        model = CaptionModel(ModelConfig(dim=2, n_layers=1, **{switch: False}), Vocab.build(["aa", "bb"]), seed=2)
+        feats = enc.FeatureBundle(node_features=rng.normal(size=(4, 2)), scene_feature=rng.normal(size=2))
+        g = chain_graph()
+        err = grad_check(lambda: model.loss(g, feats, [4, 5, 4])[0], model.parameters(), eps=1e-6)
+        assert err < 1e-6, f"{switch} off: {err}"
 
 
 class TestGradCheckContract:

@@ -383,3 +383,14 @@ class TestStepInvariants:
             assert 0.0 < beta.data[0] < 1.0
             s = modes.data
             assert s.min() >= 0 and abs(s.sum() - 1.0) < 1e-9
+
+    def test_one_step_records_one_entry_per_sub_module(self):
+        # word lookup, two (concat, input projection, cell) triples,
+        # content and flow attention, fusion, output layer, graph update
+        model, _ = tiny_model(d=3)
+        g, feats = tiny_input(d=3)
+        prepared = model.prepare(g, feats)
+        state = model.initial_state(prepared)
+        with ad.record() as tape:
+            model._step(prepared, state, model.bos_id)
+        assert len(tape) == 12

@@ -205,17 +205,23 @@ def saved(tmp_path_factory):
 
 
 def edited_checkpoint(saved, tmp_path, edits):
-    """Copy the saved checkpoint and apply each file's edit: a function
-    of the parsed JSON, or of the raw bytes of weights.bin."""
+    """Copy the saved checkpoint and apply each file's edit, a function
+    of the file's raw bytes."""
     ck = tmp_path / "ck"
     shutil.copytree(saved / "ckpt", ck)
     for name, edit in edits.items():
         path = ck / name
-        if name.endswith(".json"):
-            path.write_text(json.dumps(edit(json.loads(path.read_text()))))
-        else:
-            path.write_bytes(edit(path.read_bytes()))
+        path.write_bytes(edit(path.read_bytes()))
     return ck
+
+
+def json_edit(edit):
+    """A raw-bytes edit applying ``edit`` to the parsed JSON."""
+    return lambda raw: json.dumps(edit(json.loads(raw))).encode()
+
+
+def cut_short(raw):
+    return raw[: len(raw) // 2]
 
 
 def caption(saved, ckpt_dir, *extra):
@@ -263,12 +269,12 @@ class TestBeamWidth:
         ids=["checkpoint-width", "legacy-greedy", "explicit-beam-wins"],
     )
     def test_caption_width(self, saved, tmp_path, decode_widths, legacy, flags, width):
-        ck = edited_checkpoint(saved, tmp_path, {"train_config.json": legacy_greedy} if legacy else {})
+        ck = edited_checkpoint(saved, tmp_path, {"train_config.json": json_edit(legacy_greedy)} if legacy else {})
         assert caption(saved, ck, *flags) == 0
         assert decode_widths == [width]
 
     def test_legacy_use_beam_search_false_loads_as_greedy(self, saved, tmp_path):
-        ck = edited_checkpoint(saved, tmp_path, {"train_config.json": legacy_greedy})
+        ck = edited_checkpoint(saved, tmp_path, {"train_config.json": json_edit(legacy_greedy)})
         assert Checkpoint.load(ck).config.beam == 1
         assert TrainConfig.from_json({"use_beam_search": True, "beam": 4}).beam == 4
 
@@ -280,12 +286,17 @@ class TestBadCheckpoint:
             {"weights.bin": lambda raw: raw[:-8]},
             # an extra tensor, with weights.bin holding its values
             {
-                "manifest.json": lambda m: m + [{"name": "decoder.extra", "shape": [2]}],
+                "manifest.json": json_edit(lambda m: m + [{"name": "decoder.extra", "shape": [2]}]),
                 "weights.bin": lambda raw: raw + bytes(16),
             },
-            {"train_config.json": lambda config: {**config, "no_such_key": 1}},
+            {"train_config.json": json_edit(lambda config: {**config, "no_such_key": 1})},
+            {"train_config.json": cut_short},
+            {"manifest.json": cut_short},
         ],
-        ids=["truncated-weights", "extra-tensor", "unknown-config-key"],
+        ids=[
+            "truncated-weights", "extra-tensor", "unknown-config-key",
+            "cut-short-train-config", "cut-short-manifest",
+        ],
     )
     def test_load_raises_shape_error_and_caption_exits_2(self, saved, tmp_path, capsys, edits):
         ck = edited_checkpoint(saved, tmp_path, edits)
@@ -293,6 +304,21 @@ class TestBadCheckpoint:
             Checkpoint.load(ck)
         capsys.readouterr()
         assert caption(saved, ck) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+
+class TestBadWorldConfig:
+    @pytest.mark.parametrize(
+        "text",
+        ['{"dim": 12, "bogus": 1}', '{"dim": 12, "noise": -1}', '{"dim": 12'],
+        ids=["unknown-key", "bad-value", "malformed-json"],
+    )
+    def test_gen_data_exits_2(self, tmp_path, capsys, text):
+        from graphcap.cli import main
+
+        (tmp_path / "w.json").write_text(text)
+        assert main(["gen-data", "--config", str(tmp_path / "w.json"), "--out", str(tmp_path / "d")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 
