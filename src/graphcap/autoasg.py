@@ -218,14 +218,11 @@ def train_relation_classifier(
 
     params = init_rel_classifier(cfg.dim, hidden, rng)
     opt = OptimizerState(lr=lr)
-    onehot = np.zeros((len(ys), 3))
-    onehot[np.arange(len(ys)), ys] = 1.0
     for _ in range(epochs):
         ad.zero_grads(params.params())
         with ad.record() as tape:
             probs = ad.softmax(_clf_logits(params, ad.tensor(xs)))
-            picked = ad.tsum(ad.mul(probs, ad.tensor(onehot)), axis=-1)
-            loss = ad.smul(ad.tsum(ad.log(picked)), -1.0 / len(ys))
+            loss = ad.mean_nll([probs], [ys])
         ad.backward(tape, loss)
         adam_step(opt, params.params(), [p.grad for p in params.params()])
     return params

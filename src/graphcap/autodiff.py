@@ -17,6 +17,18 @@ Design points:
   by aborting on a non-finite loss.
 * Gradients accumulate across backward calls; callers zero them
   explicitly between optimization steps (see :func:`zero_grads`).
+* Weight adjoints are deferred.  An adjoint may return, for an input,
+  a dense array, a factor pair ``(x, g)`` standing for ``x.T @ g``
+  (``np.outer(x, g)`` for 1-D factors), or :class:`Rows` (an adjoint
+  that is zero outside the rows of one index).  :func:`backward`
+  stacks the factor rows each leaf receives over the whole pass and
+  adds one ``X.T @ G`` product, the sum of its dense adjoints and its
+  row scatters into the leaf's ``grad`` once, when the pass ends (the
+  per-step weight GEMMs batched across time, as Appleyard et al.,
+  arXiv 1604.01946, do for the forward).  A deferred adjoint that
+  reaches a tensor the tape produced is made dense at once.
+* :func:`mean_nll` is the training loss: the mean negative log of
+  picked probabilities, one tape entry for a whole caption.
 * Tensors are value-like.  A tape and the tensors flowing through it
   belong to one forward/backward pass; independent passes on disjoint
   data may run concurrently, because the active tape is held per thread
@@ -59,6 +71,8 @@ __all__ = [
     "tsum",
     "tmean",
     "reshape",
+    "mean_nll",
+    "Rows",
 ]
 
 
@@ -207,7 +221,8 @@ def primitive(inputs: Sequence[Tensor], outputs, bwd):
     for a multi-output primitive, which then returns a tuple of
     tensors.  ``bwd`` receives one adjoint per output, in order, with
     zeros for an output that does not reach the loss, and returns one
-    adjoint (or None) per input.
+    adjoint (or None) per input: an array, a factor pair ``(x, g)`` or
+    :class:`Rows` (see the module docstring).
     """
     tape = _CURRENT_TAPE.get()
     if tape is not None:
@@ -224,6 +239,17 @@ def primitive(inputs: Sequence[Tensor], outputs, bwd):
     if grad:
         tape.entries.append(_Entry(inputs, out, bwd))
     return out
+
+
+class Rows:
+    """A deferred adjoint that is ``g`` at ``a[key]`` and zero elsewhere,
+    for an input ``a`` read through a basic index (an embedding row)."""
+
+    __slots__ = ("key", "g")
+
+    def __init__(self, key, g: np.ndarray):
+        self.key = key
+        self.g = g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -265,10 +291,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             if bd.ndim == 1 and ad.ndim == 1:
                 gb = g * a.data
-            elif ad.ndim == 2 and bd.ndim == 2:
-                gb = a.data.T @ g
-            elif ad.ndim == 1:  # 1D @ 2D
-                gb = np.outer(a.data, g)
+            elif bd.ndim == 2:  # a.T @ g, deferred
+                gb = (a.data, g)
             else:  # 2D @ 1D
                 gb = a.data.T @ g
         return ga, gb
@@ -365,10 +389,10 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 
 def tslice(a: Tensor, key) -> Tensor:
+    """``a[key]`` for a basic index (an int, slices, or a tuple of them)."""
+
     def bwd(g):
-        ga = np.zeros_like(a.data)
-        ga[key] = g
-        return (ga,)
+        return (Rows(key, g),)
 
     return _emit("slice", (a,), np.ascontiguousarray(a.data[key]), bwd)
 
@@ -484,6 +508,41 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     return _emit("reshape", (a,), a.data.reshape(shape).copy(), bwd)
 
 
+def mean_nll(probs: Sequence[Tensor], targets: Sequence) -> Tensor:
+    """Mean of ``-log p`` over the picked probabilities, as one primitive:
+    ``targets[k]`` indexes the last axis of ``probs[k]`` (an int for a
+    distribution of shape (V,), an int array of shape (n,) for one of
+    shape (n, V)).  A picked probability of zero raises NumericError."""
+    if not probs or len(probs) != len(targets):
+        raise ShapeError(f"{len(probs)} distributions for {len(targets)} targets")
+    flat = []  # per distribution, the flat indices of its picks
+    parts = []
+    for p, t in zip(probs, targets):
+        t = np.asarray(t, dtype=np.intp).reshape(-1)
+        vocab = p.data.shape[-1]
+        if t.size and (t.min() < 0 or t.max() >= vocab):
+            raise ShapeError(f"target out of range for {vocab} classes")
+        flat.append(np.arange(t.size) * vocab + t)
+        parts.append(p.data.reshape(-1)[flat[-1]])
+    picked = np.concatenate(parts)
+    if not picked.size:
+        raise ShapeError("mean_nll needs at least one target")
+    if not picked.min() > 0.0:
+        raise NumericError("log of non-positive picked probability")
+    scale = -1.0 / picked.size
+    out = np.asarray(np.log(picked).sum() * scale)
+
+    def bwd(g):
+        grads = []
+        for p, idx, part in zip(probs, flat, parts):
+            gp = np.zeros(p.data.size)
+            gp[idx] = g * scale / part
+            grads.append(gp.reshape(p.data.shape))
+        return tuple(grads)
+
+    return primitive(tuple(probs), out, bwd)
+
+
 # ---------------------------------------------------------------------------
 # backward pass
 # ---------------------------------------------------------------------------
@@ -492,9 +551,11 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
 def backward(tape: Tape, loss: Tensor) -> None:
     """Accumulate dloss/dx into ``grad`` of every requires_grad leaf.
 
-    Leaves unreachable from the loss keep their ``grad`` buffers as they
-    were.  Repeated calls without zeroing accumulate, supporting
-    multi-sample batches.
+    Each leaf's ``grad`` is updated once, when the pass ends, with the
+    sum of everything the pass sent it (see the module docstring for
+    the deferred forms).  Leaves unreachable from the loss keep their
+    ``grad`` buffers as they were.  Repeated calls without zeroing
+    accumulate, supporting multi-sample batches.
     """
     if loss.data.size != 1:
         raise ShapeError(f"loss must be scalar, got shape {loss.data.shape}")
@@ -508,6 +569,8 @@ def backward(tape: Tape, loss: Tensor) -> None:
         raise ShapeError("loss is not reachable from the recorded tape")
 
     adjoint: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    # leaf id -> [tensor, dense sum or None, factor xs, factor gs, Rows]
+    leaves: dict[int, list] = {}
 
     for entry in reversed(tape.entries):
         out = entry.out
@@ -527,15 +590,58 @@ def backward(tape: Tape, loss: Tensor) -> None:
             if gt is None or not t.requires_grad:
                 continue
             tid = id(t)
+            kind = type(gt)
             if tid in produced:
+                if kind is tuple or kind is Rows:
+                    gt = _dense(gt, t.data)
                 if tid in adjoint:
                     adjoint[tid] = adjoint[tid] + gt
                 else:
                     adjoint[tid] = gt
+                continue
+            acc = leaves.get(tid)
+            if acc is None:
+                acc = leaves[tid] = [t, None, [], [], []]
+            if kind is tuple:
+                acc[2].append(gt[0])
+                acc[3].append(gt[1])
+            elif kind is Rows:
+                acc[4].append(gt)
             else:
-                if t.grad is None:
-                    t.grad = np.zeros_like(t.data)
-                t.grad += gt
+                acc[1] = gt if acc[1] is None else acc[1] + gt
+
+    for t, dense, xs, gs, rows in leaves.values():
+        if t.grad is None:
+            t.grad = np.zeros_like(t.data)
+        grad = t.grad
+        if dense is not None:
+            grad += dense
+        if xs:
+            grad += _factor_product(xs, gs).reshape(grad.shape)
+        for r in rows:
+            grad[r.key] += r.g
+
+
+def _factor_product(xs: list, gs: list) -> np.ndarray:
+    """sum_k xs[k].T @ gs[k] as one GEMM over the stacked rows."""
+    if len(xs) == 1:
+        x, g = xs[0], gs[0]
+        return np.outer(x, g) if x.ndim == 1 else x.T @ g
+    return _stack_rows(xs).T @ _stack_rows(gs)
+
+
+def _stack_rows(arrs: list) -> np.ndarray:
+    """Stack 1-D rows and 2-D blocks of rows into one 2-D array."""
+    return np.concatenate([a if a.ndim == 2 else a[None] for a in arrs])
+
+
+def _dense(gt, like: np.ndarray) -> np.ndarray:
+    """A deferred adjoint (factor pair or Rows) as a dense array."""
+    if type(gt) is Rows:
+        out = np.zeros_like(like)
+        out[gt.key] = gt.g
+        return out
+    return _factor_product([gt[0]], [gt[1]]).reshape(like.shape)
 
 
 def zero_grads(params: Iterable[Tensor]) -> None:

@@ -24,7 +24,8 @@ from .gradcheck import grad_check
 from .grammar import Vocab
 from .graph import asg_from_json, asg_to_json, sample_subgraph, validate_asg
 from .model import CaptionModel, ModelConfig
-from .training import Checkpoint, Dataset, Instance, TrainConfig, read_json, train
+from .jsonio import decoding, read_json, read_jsonl
+from .training import Checkpoint, Dataset, Instance, TrainConfig, train
 from .worldgen import (
     WorldConfig,
     features_for,
@@ -52,25 +53,21 @@ def _load_dataset(data_dir: str | Path) -> Dataset:
     scenes = load_scenes(data_dir / "scenes.jsonl")
     vocab = Vocab.load(data_dir / "vocab.json")
     instances = []
-    with open(data_dir / "triplets.jsonl") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            row = json.loads(line)
-            instances.append(
-                Instance(
-                    scene_id=int(row["scene_id"]),
-                    graph=asg_from_json(row["asg"]),
-                    caption=list(row["caption"]),
-                )
-            )
+    for where, row in read_jsonl(data_dir / "triplets.jsonl"):
+        with decoding(where):
+            scene_id, asg, caption = int(row["scene_id"]), row["asg"], row["caption"]
+        if not 0 <= scene_id < len(scenes):
+            raise ShapeError(f"{where}: scene {scene_id} is not in scenes.jsonl")
+        if not isinstance(asg, dict):
+            raise ShapeError(f"{where}: asg must be an object")
+        if not (isinstance(caption, list) and all(isinstance(w, str) for w in caption)):
+            raise ShapeError(f"{where}: caption must be a list of words")
+        instances.append(Instance(scene_id=scene_id, graph=asg_from_json(asg), caption=caption))
     return Dataset(world=world, scenes=scenes, instances=instances, vocab=vocab)
 
 
 def _load_scene_file(path: str | Path):
-    with open(path) as fh:
-        return scene_from_json(json.load(fh))
+    return scene_from_json(read_json(path), path)
 
 
 def cmd_gen_data(args) -> int:
@@ -317,10 +314,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except GraphCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (GraphCapError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

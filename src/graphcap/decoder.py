@@ -16,7 +16,9 @@ a scalar sentinel (so function words leave the graph memory untouched).
 Each sub-module (LSTM cell, content attention, flow attention, the
 fusion gate with its context, the output layer and the graph update) is
 one autodiff primitive with a hand-written adjoint, so a recorded decode
-is differentiable end to end.
+is differentiable end to end.  Weight adjoints are returned as factor
+pairs ``(x, g)`` (see :mod:`graphcap.autodiff`), which the backward pass
+stacks over the decode steps into one product per weight.
 """
 
 from __future__ import annotations
@@ -193,7 +195,7 @@ def lstm_step(cell: LstmParams, x: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor
         dgates = np.concatenate([gc * g, gc * c.data, gh * tanh_c, gc * i])
         dgates[: 3 * d] *= ifo * (1.0 - ifo)
         dgates[3 * d :] *= 1.0 - g * g
-        return dgates, w_hh.data @ dgates, gc * f, np.outer(h.data, dgates), dgates
+        return dgates, w_hh.data @ dgates, gc * f, (h.data, dgates), dgates
 
     return ad.primitive((xw, h, c, w_hh, bias), (o * tanh_c, c_new), bwd)
 
@@ -220,9 +222,9 @@ def content_attention(params: DecoderParams, x_nodes: Tensor, h_query: Tensor) -
         return (
             dpre @ wx.data.T,
             wh.data @ dh,
-            x_nodes.data.T @ dpre,
-            np.outer(h_query.data, dh),
-            hidden.T @ dscores,
+            (x_nodes.data, dpre),
+            (h_query.data, dh),
+            (hidden, dscores[:, None]),
         )
 
     return ad.primitive((x_nodes, h_query, wx, wh, ws), alpha, bwd)
@@ -288,9 +290,9 @@ def flow_attention(
             g_a,
             wh.data @ dpre,
             wz.data @ dpre,
-            np.outer(h_query.data, dpre),
-            np.outer(z_prev.data, dpre),
-            np.outer(pre, g_logits),
+            (h_query.data, dpre),
+            (z_prev.data, dpre),
+            (pre, g_logits),
         )
 
     return ad.primitive((alpha_prev, h_query, z_prev, wh, wz, wm), (total, modes), bwd)
@@ -332,8 +334,8 @@ def fuse_and_context(
             wh.data @ dpre,
             wz.data @ dpre,
             np.outer(alpha, g_context),
-            np.outer(h_query.data, dpre),
-            np.outer(z_prev.data, dpre),
+            (h_query.data, dpre),
+            (z_prev.data, dpre),
             pre * g_gate,
         )
 
@@ -356,7 +358,7 @@ def language_step(
 
     def bwd(g):
         dlogits = probs * (g - g @ probs)
-        return w.data @ dlogits, np.outer(h_new.data, dlogits), dlogits
+        return w.data @ dlogits, (h_new.data, dlogits), dlogits
 
     return h_new, c_new, ad.primitive((h_new, w, b), probs, bwd)
 
@@ -394,9 +396,9 @@ def graph_update(
             sentinel * g_u,
             h * g_gate,
             g_gate,
-            paired.T @ g_erase,
+            (paired, g_erase),
             g_erase.sum(axis=0),
-            paired.T @ g_add,
+            (paired, g_add),
             g_add.sum(axis=0),
         )
 

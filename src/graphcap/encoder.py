@@ -167,11 +167,11 @@ def mrgcn_layer(
     def bwd(g):
         g = g * (acc > 0)
         g_x = g @ w_self.data.T
-        g_w = [xd.T @ g]
+        g_w = [(xd, g)]
         for k, w in zip(kinds, w_rel):
             g_msg = agg[k].T @ g
             g_x = g_x + g_msg @ w.data.T
-            g_w.append(xd.T @ g_msg)
+            g_w.append((xd, g_msg))
         return (g_x, *g_w)
 
     return ad.primitive((x, w_self, *w_rel), np.maximum(acc, 0.0), bwd)

@@ -19,8 +19,9 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import InvalidGraphError
+from .errors import InvalidGraphError, ShapeError
 from .graph import NodeRole, SceneGraph
+from .jsonio import decoding, read_json
 
 __all__ = ["Vocab", "Grammar", "OBJECT_WORDS", "ATTRIBUTE_WORDS", "RELATION_WORDS"]
 
@@ -87,10 +88,14 @@ class Vocab:
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocab":
-        with open(path) as fh:
-            payload = json.load(fh)
-        tokens = tuple(payload["tokens"])
-        return cls(tokens=tokens, index={t: i for i, t in enumerate(tokens)})
+        """Read ``vocab.json``; raises ``ShapeError`` unless it holds a
+        list of token strings."""
+        payload = read_json(path)
+        with decoding(path):
+            tokens = payload["tokens"]
+        if not (isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)):
+            raise ShapeError(f"{path}: tokens must be a list of strings")
+        return cls(tokens=tuple(tokens), index={t: i for i, t in enumerate(tokens)})
 
 
 class Grammar:

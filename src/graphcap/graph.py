@@ -25,7 +25,6 @@ across threads.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from dataclasses import dataclass, field
 from enum import Enum
@@ -34,6 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidGraphError, NoRelationshipsError, ShapeError
+from .jsonio import decoding, read_json
 
 __all__ = [
     "NodeRole",
@@ -408,12 +408,16 @@ def asg_to_json(g: SceneGraph) -> dict:
 
 
 def asg_from_json(obj: dict | str | Path) -> SceneGraph:
+    """A graph from its JSON object or file; a missing key or a value of
+    the wrong type raises ``ShapeError``.  The result is not validated
+    (see :func:`validate_asg`)."""
+    what = "control graph"
     if isinstance(obj, (str, Path)):
-        with open(obj) as fh:
-            obj = json.load(fh)
-    nodes = tuple(
-        Node(id=int(n["id"]), role=NodeRole(n["role"]), region=int(n.get("region", -1)))
-        for n in sorted(obj["nodes"], key=lambda n: n["id"])
-    )
-    edges = tuple((int(s), int(d)) for s, d in obj["edges"])
-    return SceneGraph(nodes=nodes, edges=edges)
+        what, obj = obj, read_json(obj)
+    with decoding(what):
+        nodes = tuple(
+            Node(id=int(n["id"]), role=NodeRole(n["role"]), region=int(n.get("region", -1)))
+            for n in sorted(obj["nodes"], key=lambda n: n["id"])
+        )
+        edges = tuple((int(s), int(d)) for s, d in obj["edges"])
+        return SceneGraph(nodes=nodes, edges=edges)

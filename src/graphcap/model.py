@@ -154,13 +154,11 @@ class CaptionModel:
         state = self.initial_state(prepared)
         inputs = [self.bos_id] + list(caption_ids)
         targets = list(caption_ids) + [self.eos_id]
-        total = None
-        for prev_id, target in zip(inputs, targets):
-            state, probs, *_ = self._step(prepared, state, prev_id)
-            lp = ad.log(ad.tslice(probs, slice(target, target + 1)))
-            total = lp if total is None else ad.add(total, lp)
-        loss = ad.smul(ad.tsum(total), -1.0 / len(targets))
-        return loss, len(targets)
+        probs = []
+        for prev_id in inputs:
+            state, p, *_ = self._step(prepared, state, prev_id)
+            probs.append(p)
+        return ad.mean_nll(probs, targets), len(targets)
 
     # -- decoding -------------------------------------------------------------
 

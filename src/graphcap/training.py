@@ -25,20 +25,12 @@ from . import autodiff as ad
 from .errors import NumericError, ShapeError
 from .grammar import Vocab
 from .graph import SceneGraph
+from .jsonio import read_json
 from .model import CaptionModel, ModelConfig
 from .optim import OptimizerState, adam_step
 from .worldgen import Scene, WorldConfig, features_for
 
-__all__ = ["TrainConfig", "Checkpoint", "train", "Dataset", "Instance", "read_json"]
-
-
-def read_json(path: str | Path):
-    """Parse a JSON file; malformed or cut-short content raises
-    ``ShapeError``, so the CLI exits 2 on it."""
-    try:
-        return json.loads(Path(path).read_bytes())
-    except ValueError as exc:
-        raise ShapeError(f"{path} is not valid JSON: {exc}") from None
+__all__ = ["TrainConfig", "Checkpoint", "train", "Dataset", "Instance"]
 
 
 @dataclass(frozen=True)

@@ -23,9 +23,10 @@ from pathlib import Path
 import numpy as np
 
 from .encoder import FeatureBundle
-from .errors import InvalidGraphError, NoRelationshipsError
+from .errors import InvalidGraphError, NoRelationshipsError, ShapeError
 from .grammar import Grammar
 from .graph import Node, NodeRole, SceneGraph, sample_subgraph, validate_asg
+from .jsonio import decoding, read_jsonl
 
 __all__ = [
     "WorldConfig",
@@ -200,6 +201,10 @@ def features_for(scene: Scene, g: SceneGraph, cfg: WorldConfig) -> FeatureBundle
                 raise InvalidGraphError(f"relationship node {node.id} region {node.region} dangling")
             if node.region >= 0:
                 feats[node.id] = rel_vecs[node.region]
+            elif node.id not in triple_of:
+                raise InvalidGraphError(
+                    f"relationship node {node.id} has no region and no subject-object triple"
+                )
             else:
                 s, o = triple_of[node.id]
                 feats[node.id] = 0.5 * (
@@ -318,13 +323,22 @@ def scene_to_json(scene: Scene) -> dict:
     }
 
 
-def scene_from_json(obj: dict) -> Scene:
-    objects = tuple(
-        SceneObject(cls=int(o["cls"]), attrs=tuple(o["attrs"]), box=tuple(o["box"]))
-        for o in obj["objects"]
-    )
-    relations = tuple((int(s), int(c), int(o)) for s, c, o in obj["relations"])
-    return Scene(objects=objects, relations=relations, seed=int(obj["seed"]))
+def scene_from_json(obj: dict, what="scene") -> Scene:
+    """A scene from its JSON object; a missing key or a value of the
+    wrong type raises ``ShapeError``."""
+    with decoding(what):
+        objects = tuple(
+            SceneObject(
+                cls=int(o["cls"]),
+                attrs=tuple(int(a) for a in o["attrs"]),
+                box=tuple(float(v) for v in o["box"]),
+            )
+            for o in obj["objects"]
+        )
+        if any(len(o.box) != 4 for o in objects):
+            raise ShapeError(f"{what}: a box needs four numbers")
+        relations = tuple((int(s), int(c), int(o)) for s, c, o in obj["relations"])
+        return Scene(objects=objects, relations=relations, seed=int(obj["seed"]))
 
 
 def save_scenes(path: str | Path, scenes: list[Scene]) -> None:
@@ -334,10 +348,6 @@ def save_scenes(path: str | Path, scenes: list[Scene]) -> None:
 
 
 def load_scenes(path: str | Path) -> list[Scene]:
-    out = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(scene_from_json(json.loads(line)))
-    return out
+    """One scene per non-blank line; a malformed line raises
+    ``ShapeError``."""
+    return [scene_from_json(obj, where) for where, obj in read_jsonl(path)]

@@ -1,6 +1,8 @@
 """Numeric-core tests: forward values, adjoints vs central differences
-(basic and fused sub-module primitives, and whole models under each
-ablation switch), tape isolation across threads, and the Adam update."""
+(basic and fused sub-module primitives, the fused loss, and whole
+models under each ablation switch), the deferred factor-form and
+row-scatter adjoints, tape isolation across threads, and the Adam
+update."""
 
 import sys
 import threading
@@ -15,9 +17,10 @@ from graphcap import encoder as enc
 from graphcap.errors import NumericError, ShapeError
 from graphcap.gradcheck import grad_check
 from graphcap.grammar import Vocab
-from graphcap.graph import FlowGraph, Node, NodeRole, SceneGraph, build_flow, build_multirel
+from graphcap.graph import FlowGraph, Node, NodeRole, SceneGraph, build_flow, build_multirel, sample_subgraph
 from graphcap.model import CaptionModel, ModelConfig
 from graphcap.optim import OptimizerState, adam_step
+from graphcap.worldgen import WorldConfig, full_scene_graph, gen_scene, make_triplet
 
 
 def fd_grad(f, x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
@@ -67,6 +70,12 @@ class TestForwardValues:
             ad.log(ad.tensor([0.0]))
         with pytest.raises(NumericError):
             ad.div(ad.tensor([1.0]), ad.tensor([0.0]))
+
+    def test_mean_nll_of_zero_picked_probability_raises(self):
+        probs = [ad.parameter([0.5, 0.5, 0.0]), ad.parameter([0.2, 0.3, 0.5])]
+        assert ad.mean_nll(probs, [0, 2]).item() == pytest.approx(-(np.log(0.5) + np.log(0.5)) / 2)
+        with pytest.raises(NumericError):
+            ad.mean_nll(probs, [2, 2])
 
 
 class TestBackward:
@@ -194,6 +203,77 @@ _B12 = _rng.normal(size=(4, 3))
 _X = _rng.normal(size=(3, 4))
 
 
+class TestFactorForm:
+    """Weight adjoints deferred as factor pairs and row scatters, made
+    into one product per leaf when backward ends."""
+
+    def test_weight_shared_by_many_matmuls_gets_the_outer_product_sum(self):
+        rng = np.random.default_rng(5)
+        w = ad.parameter(rng.normal(size=(4, 3)))
+        xs = [rng.normal(size=4) for _ in range(6)] + [rng.normal(size=(2, 4)), rng.normal(size=(3, 4))]
+        upstream = [rng.normal(size=(3,) if x.ndim == 1 else (x.shape[0], 3)) for x in xs]
+        with ad.record() as tape:
+            terms = [ad.tsum(ad.mul(ad.matmul(ad.tensor(x), w), ad.tensor(u))) for x, u in zip(xs, upstream)]
+            loss = terms[0]
+            for t in terms[1:]:
+                loss = ad.add(loss, t)
+        ad.backward(tape, loss)
+        expected = sum(np.outer(x, u) if x.ndim == 1 else x.T @ u for x, u in zip(xs, upstream))
+        assert np.abs(w.grad - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_deferred_adjoints_reaching_produced_tensors(self):
+        # tanh(w) is produced by the tape, so the factor pairs of both
+        # matmul forms and the row scatter of tslice are made dense there
+        rng = np.random.default_rng(6)
+        w = ad.parameter(rng.normal(size=(4, 3)))
+        x, v = ad.tensor(rng.normal(size=(2, 4))), ad.tensor(rng.normal(size=4))
+
+        def f():
+            wt = ad.tanh(w)
+            a = ad.tsum(ad.tanh(ad.matmul(x, wt)))
+            b = ad.matmul(v, wt)
+            return ad.add(ad.add(a, ad.tsum(ad.mul(b, b))), ad.tsum(ad.tanh(ad.tslice(wt, 1))))
+
+        assert grad_check(f, [w], eps=1e-6) < 1e-8
+
+    def test_two_backward_calls_accumulate(self):
+        rng = np.random.default_rng(8)
+        emb = ad.parameter(rng.normal(size=(5, 3)))
+        w = ad.parameter(rng.normal(size=(3, 2)))
+        b = ad.parameter(rng.normal(size=2))
+
+        def run():
+            with ad.record() as tape:
+                h = ad.add(ad.matmul(ad.tslice(emb, 2), w), b)
+                h = ad.add(ad.matmul(ad.tanh(ad.tslice(emb, 4)), w), h)
+                loss = ad.tsum(ad.tanh(h))
+            ad.backward(tape, loss)
+            return [p.grad.copy() for p in (emb, w, b)]
+
+        ad.zero_grads([emb, w, b])
+        once = run()
+        twice = run()
+        for g1, g2 in zip(once, twice):
+            np.testing.assert_allclose(g2, 2.0 * g1, rtol=1e-12, atol=0.0)
+        assert np.all(once[0][[0, 1, 3]] == 0.0)
+
+    def test_tier1_loss_tape_has_94_entries(self):
+        # the instance of test_01_gradient_fidelity: 2 R-GCN layers, 7
+        # decode steps of 12 entries, and one loss entry
+        world = WorldConfig(dim=16, n_object_classes=2, n_attr_classes=2, n_rel_classes=2)
+        rng = np.random.default_rng(1)
+        scene = gen_scene(world, rng)
+        g_full = full_scene_graph(scene)
+        sub = next(c for c in (sample_subgraph(g_full, rng) for _ in range(1000)) if c.n_nodes == 5)
+        feats, graph, caption = make_triplet(scene, sub, world)
+        vocab = world.grammar().build_vocab()
+        ids = (vocab.encode(caption) + [vocab.unk_id] * 6)[:6]
+        model = CaptionModel(ModelConfig(dim=16, n_layers=2), vocab, seed=1)
+        with ad.record() as tape:
+            model.loss(graph, feats, ids)
+        assert len(tape) == 94
+
+
 class TestAdjointsMatchFiniteDifferences:
     """Every registered primitive agrees with central differences to 1e-6."""
 
@@ -295,6 +375,13 @@ def _role_embed(rng, d=3):
     return lambda: (enc.role_embed(g, feats, params),), [params.role_table, params.pos_table]
 
 
+def _mean_nll(rng, vocab=5):
+    probs = [ad.parameter(rng.dirichlet(np.ones(vocab))) for _ in range(3)]
+    probs.append(ad.parameter(rng.dirichlet(np.ones(vocab), size=2)))
+    targets = [0, 3, 3, np.array([1, 4])]
+    return lambda: (ad.mean_nll(probs, targets),), probs
+
+
 def _mrgcn(rng, d=3):
     g = chain_graph()
     layer = enc.init_encoder_params(d, 1, 2, rng).layers[0]
@@ -316,6 +403,7 @@ FUSED = {
     "graph_update": (_graph_update, 2),
     "role_embed": (_role_embed, 1),
     "mrgcn_layer": (_mrgcn, 1),
+    "mean_nll": (_mean_nll, 1),
 }
 
 # every output together, then each output of a multi-output primitive
