@@ -19,7 +19,8 @@ Design points:
   explicitly between optimization steps (see :func:`zero_grads`).
 * Weight adjoints are deferred.  An adjoint may return, for an input,
   a dense array, a factor pair ``(x, g)`` standing for ``x.T @ g``
-  (``np.outer(x, g)`` for 1-D factors), or :class:`Rows` (an adjoint
+  (``np.outer(x, g)`` for 1-D factors; the leading axes of factors
+  with more than two are flattened into rows), or :class:`Rows` (an adjoint
   that is zero outside the rows of one index).  :func:`backward`
   stacks the factor rows each leaf receives over the whole pass and
   adds one ``X.T @ G`` product, the sum of its dense adjoints and its
@@ -79,14 +80,13 @@ __all__ = [
 class Tensor:
     """A dense float64 array with an optional gradient buffer."""
 
-    __slots__ = ("data", "requires_grad", "grad", "name")
+    __slots__ = ("data", "requires_grad", "grad")
 
-    def __init__(self, data, requires_grad: bool = False, name: str = ""):
+    def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
         self.data = arr
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
-        self.name = name
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -104,39 +104,15 @@ class Tensor:
             self.grad.fill(0.0)
 
     def __repr__(self) -> str:
-        tag = f" name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad}{tag})"
-
-    # operator sugar; constants are wrapped on the fly
-    def __add__(self, other):
-        return add(self, _wrap(other))
-
-    def __sub__(self, other):
-        return sub(self, _wrap(other))
-
-    def __mul__(self, other):
-        return mul(self, _wrap(other))
-
-    def __truediv__(self, other):
-        return div(self, _wrap(other))
-
-    def __matmul__(self, other):
-        return matmul(self, _wrap(other))
-
-    def __neg__(self):
-        return smul(self, -1.0)
+        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
-def tensor(data, name: str = "") -> Tensor:
-    return Tensor(data, requires_grad=False, name=name)
+def tensor(data) -> Tensor:
+    return Tensor(data, requires_grad=False)
 
 
-def parameter(data, name: str = "") -> Tensor:
-    return Tensor(data, requires_grad=True, name=name)
-
-
-def _wrap(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
+def parameter(data) -> Tensor:
+    return Tensor(data, requires_grad=True)
 
 
 class _Entry:
@@ -197,7 +173,6 @@ def _fresh(data: np.ndarray, requires_grad: bool) -> Tensor:
     out.data = data
     out.requires_grad = requires_grad
     out.grad = None
-    out.name = ""
     return out
 
 
@@ -243,7 +218,9 @@ def primitive(inputs: Sequence[Tensor], outputs, bwd):
 
 class Rows:
     """A deferred adjoint that is ``g`` at ``a[key]`` and zero elsewhere,
-    for an input ``a`` read through a basic index (an embedding row)."""
+    for an input ``a`` read through a basic index or an integer array of
+    rows (embedding rows).  A row the key repeats gets the sum of its
+    adjoints."""
 
     __slots__ = ("key", "g")
 
@@ -389,7 +366,8 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 
 def tslice(a: Tensor, key) -> Tensor:
-    """``a[key]`` for a basic index (an int, slices, or a tuple of them)."""
+    """``a[key]`` for a basic index (an int, slices, or a tuple of them)
+    or an integer array of rows, which may repeat a row."""
 
     def bwd(g):
         return (Rows(key, g),)
@@ -619,27 +597,31 @@ def backward(tape: Tape, loss: Tensor) -> None:
         if xs:
             grad += _factor_product(xs, gs).reshape(grad.shape)
         for r in rows:
-            grad[r.key] += r.g
+            np.add.at(grad, r.key, r.g)
 
 
 def _factor_product(xs: list, gs: list) -> np.ndarray:
     """sum_k xs[k].T @ gs[k] as one GEMM over the stacked rows."""
     if len(xs) == 1:
         x, g = xs[0], gs[0]
-        return np.outer(x, g) if x.ndim == 1 else x.T @ g
+        if x.ndim == 1:
+            return np.outer(x, g)
+        if x.ndim == 2:
+            return x.T @ g
     return _stack_rows(xs).T @ _stack_rows(gs)
 
 
 def _stack_rows(arrs: list) -> np.ndarray:
-    """Stack 1-D rows and 2-D blocks of rows into one 2-D array."""
-    return np.concatenate([a if a.ndim == 2 else a[None] for a in arrs])
+    """Stack 1-D rows and blocks of rows into one 2-D array; a block's
+    leading axes (batch rows, slots) are flattened into rows."""
+    return np.concatenate([a if a.ndim == 2 else a.reshape(-1, a.shape[-1]) for a in arrs])
 
 
 def _dense(gt, like: np.ndarray) -> np.ndarray:
     """A deferred adjoint (factor pair or Rows) as a dense array."""
     if type(gt) is Rows:
         out = np.zeros_like(like)
-        out[gt.key] = gt.g
+        np.add.at(out, gt.key, gt.g)
         return out
     return _factor_product([gt[0]], [gt[1]]).reshape(like.shape)
 

@@ -2,9 +2,10 @@
 
 Subcommands: gen-data, train, caption, eval-control, eval-diversity,
 sample-asg, gradcheck.  Data directories hold scenes.jsonl,
-triplets.jsonl, and vocab.json; checkpoints are directories with
-manifest.json, weights.bin, train_config.json, and vocab.json.  Any
-contract violation exits nonzero.
+triplets.jsonl, vocab.json and world.json; checkpoints are directories
+with manifest.json, weights.bin, train_config.json, vocab.json and the
+training data's world.json.  A command given a world config other than
+its checkpoint's exits 2.  Any contract violation exits nonzero.
 """
 
 from __future__ import annotations
@@ -33,23 +34,15 @@ from .worldgen import (
     gen_dataset,
     load_scenes,
     make_triplet,
+    read_world,
     save_scenes,
     scene_from_json,
 )
 
 
-def _read_world(path: str | Path) -> WorldConfig:
-    """The world config in ``path``; an unknown key or a bad value
-    raises ``ShapeError``, as malformed JSON does."""
-    try:
-        return WorldConfig.from_json(read_json(path))
-    except (TypeError, ValueError) as exc:
-        raise ShapeError(f"bad world config {path}: {exc}") from None
-
-
 def _load_dataset(data_dir: str | Path) -> Dataset:
     data_dir = Path(data_dir)
-    world = _read_world(data_dir / "world.json")
+    world = read_world(data_dir / "world.json")
     scenes = load_scenes(data_dir / "scenes.jsonl")
     vocab = Vocab.load(data_dir / "vocab.json")
     instances = []
@@ -71,7 +64,7 @@ def _load_scene_file(path: str | Path):
 
 
 def cmd_gen_data(args) -> int:
-    world = _read_world(args.config) if args.config else WorldConfig()
+    world = read_world(args.config) if args.config else WorldConfig()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     scenes, rows = gen_dataset(world, args.count, seed=args.seed)
@@ -132,7 +125,10 @@ def cmd_caption(args) -> int:
         for v in violations:
             print(f"  {v}", file=sys.stderr)
         return 2
-    world = _read_world(args.world) if args.world else WorldConfig(dim=ckpt.config.dim)
+    if args.world:
+        world = _checked_world(ckpt, read_world(args.world), args.world)
+    else:
+        world = ckpt.world or WorldConfig(dim=ckpt.config.dim)
     feats = features_for(scene, graph, world)
     beam = ckpt.config.beam if args.beam is None else args.beam
     hyps = ckpt.model.decode(graph, feats, beam=beam, max_len=ckpt.config.max_len)
@@ -145,6 +141,13 @@ def cmd_caption(args) -> int:
             json.dump(trace, fh, indent=1)
         print(f"trace written to {args.trace}")
     return 0
+
+
+def _checked_world(ckpt: Checkpoint, world: WorldConfig, source) -> WorldConfig:
+    """``world``, unless the checkpoint records another world config."""
+    if ckpt.world is not None and world != ckpt.world:
+        raise ShapeError(f"the world config of {source} differs from the checkpoint's")
+    return world
 
 
 def _attention_trace(model: CaptionModel, graph, feats, tokens: list[int]) -> list[dict]:
@@ -172,6 +175,7 @@ def _attention_trace(model: CaptionModel, graph, feats, tokens: list[int]) -> li
 def cmd_eval_control(args) -> int:
     ckpt = Checkpoint.load(args.ckpt)
     dataset = _load_dataset(args.data)
+    _checked_world(ckpt, dataset.world, args.data)
     result = evaluate_control(ckpt, dataset)
     result.save(args.report)
     r = result.report
@@ -183,6 +187,7 @@ def cmd_eval_control(args) -> int:
 def cmd_eval_diversity(args) -> int:
     ckpt = Checkpoint.load(args.ckpt)
     dataset = _load_dataset(args.data)
+    _checked_world(ckpt, dataset.world, args.data)
     scene_ids = sorted({inst.scene_id for inst in dataset.instances})[: args.scenes]
     result = evaluate_diversity(ckpt, dataset, scene_ids, samples=args.samples, seed=args.seed)
     result.save(args.report)
@@ -202,7 +207,7 @@ def cmd_sample_asg(args) -> int:
     if args.mode == "subgraph":
         graph = sample_subgraph(full_scene_graph(scene), rng)
     else:
-        world = _read_world(args.world) if args.world else WorldConfig()
+        world = read_world(args.world) if args.world else WorldConfig()
         clf = train_relation_classifier(world, n_scenes=args.clf_scenes, seed=args.seed)
         proposals = jitter_proposals(scene, rng)
         graph = auto_generate_asg(scene, proposals, clf, world, threshold=args.threshold)
@@ -273,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--asg", required=True, help="control graph JSON file")
     c.add_argument("--beam", type=int, help="beam width (defaults to the checkpoint's)")
     c.add_argument("--trace", help="write per-step attention trace JSON here")
-    c.add_argument("--world", help="world config JSON (defaults to checkpoint dim)")
+    c.add_argument("--world", help="world config JSON (defaults to the checkpoint's)")
     c.set_defaults(fn=cmd_caption)
 
     e = sub.add_parser("eval-control", help="controllability metrics on a dataset")

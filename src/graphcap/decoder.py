@@ -19,6 +19,17 @@ one autodiff primitive with a hand-written adjoint, so a recorded decode
 is differentiable end to end.  Weight adjoints are returned as factor
 pairs ``(x, g)`` (see :mod:`graphcap.autodiff`), which the backward pass
 stacks over the decode steps into one product per weight.
+
+Every primitive also takes a leading batch axis of K rows: the state
+fields ``x_nodes`` (K, S, d), ``alpha`` (K, S) and ``h``, ``c``, ``z``
+(K, d), with the per-graph scene vector and flow matrix shared by all
+rows.  Each row keeps its own vanishing-mass fallback in the flow
+transports, and the adjoints of shared weights sum over the rows.  Beam
+search packs the states of its unfinished hypotheses into one batched
+state and advances them with one step per search step (small per-row
+GEMMs batched into one, as Appleyard et al. batch them across time).
+Unbatched calls (training, the loss, greedy decoding) run the same
+numpy calls as without the axis.
 """
 
 from __future__ import annotations
@@ -142,7 +153,8 @@ def init_decoder_params(dim: int, vocab_size: int, rng: np.random.Generator) -> 
 @dataclass
 class DecoderState:
     """Evolving per-step state.  Instances are never mutated; each step
-    returns a fresh state, which keeps beam hypotheses isolated."""
+    returns a fresh state, which keeps beam hypotheses isolated.  A
+    packed state carries a leading axis of K rows on every tensor."""
 
     x_nodes: Tensor  # (n_slots, d)
     h_att: Tensor
@@ -175,6 +187,35 @@ def init_state(x_enc: Tensor, fg: FlowGraph) -> DecoderState:
     )
 
 
+def _dot(a: np.ndarray, b: np.ndarray):
+    """``a @ b`` over the last axis: a scalar for vectors, a (K, 1)
+    column for K rows, so it broadcasts back over each row."""
+    if a.ndim == 1:
+        return a @ b
+    return np.einsum("ki,ki->k", a, b)[:, None]
+
+
+def _lead_sum(g: np.ndarray) -> np.ndarray:
+    """An adjoint summed over its leading axes down to one vector (the
+    adjoint of a bias or vector weight shared by every row)."""
+    return g if g.ndim == 1 else g.reshape(-1, g.shape[-1]).sum(axis=0)
+
+
+def _attend(alpha: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The attended context ``alpha @ x`` of each row."""
+    return alpha @ x if alpha.ndim == 1 else (alpha[:, None, :] @ x)[:, 0]
+
+
+def _attend_adjoint(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``x @ g`` of each row: the adjoint of ``_attend`` in ``alpha``."""
+    return x @ g if g.ndim == 1 else (x @ g[:, :, None])[:, :, 0]
+
+
+def _repeat_rows(t: Tensor, k: int) -> Tensor:
+    """A shared vector as k identical rows; the adjoint sums the rows."""
+    return ad.primitive((t,), np.broadcast_to(t.data, (k, t.data.size)), lambda g: (g.sum(axis=0),))
+
+
 def lstm_step(cell: LstmParams, x: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
     """One LSTM cell in the fused-gate form of Appleyard et al.
     (arXiv 1604.01946): the input projection, then a single primitive
@@ -184,18 +225,18 @@ def lstm_step(cell: LstmParams, x: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor
     d = cell.hidden
     w_hh, bias = cell.w_hh, cell.bias
     gates = xw.data + h.data @ w_hh.data + bias.data
-    ifo = _sigmoid_raw(gates[: 3 * d])
-    i, f, o = ifo[:d], ifo[d : 2 * d], ifo[2 * d :]
-    g = np.tanh(gates[3 * d :])
+    ifo = _sigmoid_raw(gates[..., : 3 * d])
+    i, f, o = ifo[..., :d], ifo[..., d : 2 * d], ifo[..., 2 * d :]
+    g = np.tanh(gates[..., 3 * d :])
     c_new = f * c.data + i * g
     tanh_c = np.tanh(c_new)
 
     def bwd(gh, gc):
         gc = gc + gh * o * (1.0 - tanh_c * tanh_c)
-        dgates = np.concatenate([gc * g, gc * c.data, gh * tanh_c, gc * i])
-        dgates[: 3 * d] *= ifo * (1.0 - ifo)
-        dgates[3 * d :] *= 1.0 - g * g
-        return dgates, w_hh.data @ dgates, gc * f, (h.data, dgates), dgates
+        dgates = np.concatenate([gc * g, gc * c.data, gh * tanh_c, gc * i], axis=-1)
+        dgates[..., : 3 * d] *= ifo * (1.0 - ifo)
+        dgates[..., 3 * d :] *= 1.0 - g * g
+        return dgates, dgates @ w_hh.data.T, gc * f, (h.data, dgates), _lead_sum(dgates)
 
     return ad.primitive((xw, h, c, w_hh, bias), (o * tanh_c, c_new), bwd)
 
@@ -204,45 +245,55 @@ def attention_query_step(
     params: DecoderParams, state: DecoderState, fused: Tensor, w_prev: Tensor
 ) -> tuple[Tensor, Tensor]:
     """Query cell: consumes [fused scene; previous word; previous
-    language hidden] and advances the query LSTM."""
-    x = ad.concat([fused, w_prev, state.h_lang], axis=0)
+    language hidden] and advances the query LSTM.  The scene vector is
+    shared by the rows of a batched state."""
+    if w_prev.data.ndim == 2:
+        fused = _repeat_rows(fused, len(w_prev.data))
+    x = ad.concat([fused, w_prev, state.h_lang], axis=-1)
     return lstm_step(params.att_cell, x, state.h_att, state.c_att)
 
 
 def content_attention(params: DecoderParams, x_nodes: Tensor, h_query: Tensor) -> Tensor:
     """softmax over slots of w_c . tanh(X W_x + h W_h), as one primitive."""
     wx, wh, ws = params.content_wx, params.content_wh, params.content_score
-    hidden = np.tanh(x_nodes.data @ wx.data + h_query.data @ wh.data)
+    hidden = np.tanh(x_nodes.data @ wx.data + (h_query.data @ wh.data)[..., None, :])
     alpha = _softmax_raw(hidden @ ws.data)
 
     def bwd(g):
-        dscores = alpha * (g - g @ alpha)
-        dpre = np.outer(dscores, ws.data) * (1.0 - hidden * hidden)
-        dh = dpre.sum(axis=0)
+        dscores = alpha * (g - _dot(g, alpha))
+        dpre = dscores[..., None] * ws.data * (1.0 - hidden * hidden)
+        dh = dpre.sum(axis=-2)
         return (
             dpre @ wx.data.T,
-            wh.data @ dh,
+            dh @ wh.data.T,
             (x_nodes.data, dpre),
             (h_query.data, dh),
-            (hidden, dscores[:, None]),
+            (hidden, dscores[..., None]),
         )
 
     return ad.primitive((x_nodes, h_query, wx, wh, ws), alpha, bwd)
 
 
 def _renormalize(moved: np.ndarray, fallback: np.ndarray):
-    """Scale back to a distribution, keeping the previous attention when
-    the transported mass vanishes.  Returns (distribution, mass), with
-    mass None on the fallback."""
-    mass = moved.sum()
-    if mass < 1e-12:
-        return fallback, None
-    return moved / mass, mass
+    """Scale each row back to a distribution; a row whose transported
+    mass vanishes keeps its previous attention (``fallback``).  Returns
+    (distribution, mass, kept): mass and kept are (..., 1) columns, and
+    kept is None when no row vanished."""
+    mass = moved.sum(axis=-1, keepdims=True)
+    if (mass.item() if mass.size == 1 else mass.min()) >= 1e-12:
+        return moved / mass, mass, None
+    kept = mass >= 1e-12
+    mass = np.where(kept, mass, 1.0)
+    return np.where(kept, moved / mass, fallback), mass, kept
 
 
-def _renormalize_adjoint(g: np.ndarray, dist: np.ndarray, mass) -> np.ndarray:
-    """Adjoint of ``moved / moved.sum()`` with respect to ``moved``."""
-    return (g - g @ dist) / mass
+def _renormalize_adjoint(g: np.ndarray, dist: np.ndarray, mass, kept):
+    """Adjoints of ``_renormalize`` with respect to the moved mass and
+    to the fallback."""
+    g_moved = (g - _dot(g, dist)) / mass
+    if kept is None:
+        return g_moved, 0.0
+    return np.where(kept, g_moved, 0.0), np.where(kept, 0.0, g)
 
 
 def flow_attention(
@@ -257,6 +308,7 @@ def flow_attention(
 
     The three transports share the matrix products: the un-normalized
     1-hop result feeds the 2-hop product before either is renormalized.
+    The flow matrix is shared by the rows of a batched state.
     """
     wh, wz, wm = params.flow_wh, params.flow_wz, params.flow_mode
     m = fg.matrix
@@ -264,32 +316,24 @@ def flow_attention(
     lin = h_query.data @ wh.data + z_prev.data @ wz.data
     pre = np.maximum(lin, 0.0)
     modes = _softmax_raw(pre @ wm.data)
-    moved1 = m @ a
-    moved2 = m @ moved1
-    t1, mass1 = _renormalize(moved1, a)
-    t2, mass2 = _renormalize(moved2, a)
-    total = modes[0] * a + modes[1] * t1 + modes[2] * t2
+    m0, m1, m2 = modes.tolist() if modes.ndim == 1 else modes.T[..., None]
+    moved1 = a @ m.T
+    moved2 = moved1 @ m.T
+    t1, mass1, kept1 = _renormalize(moved1, a)
+    t2, mass2, kept2 = _renormalize(moved2, a)
+    total = m0 * a + m1 * t1 + m2 * t2
 
     def bwd(g, g_modes):
-        g_modes = g_modes + np.array([g @ a, g @ t1, g @ t2])
-        g_a = modes[0] * g
-        g_t1, g_t2 = modes[1] * g, modes[2] * g
-        g_moved1 = np.zeros_like(a)
-        if mass2 is None:
-            g_a = g_a + g_t2
-        else:
-            g_moved1 = m.T @ _renormalize_adjoint(g_t2, t2, mass2)
-        if mass1 is None:
-            g_a = g_a + g_t1
-        else:
-            g_moved1 = g_moved1 + _renormalize_adjoint(g_t1, t1, mass1)
-        g_a = g_a + m.T @ g_moved1
-        g_logits = modes * (g_modes - g_modes @ modes)
-        dpre = (wm.data @ g_logits) * (lin > 0)
+        g_modes = g_modes + np.hstack([_dot(g, a), _dot(g, t1), _dot(g, t2)])
+        g_moved2, g_a2 = _renormalize_adjoint(m2 * g, t2, mass2, kept2)
+        g_moved1, g_a1 = _renormalize_adjoint(m1 * g, t1, mass1, kept1)
+        g_moved1 = g_moved1 + g_moved2 @ m
+        g_logits = modes * (g_modes - _dot(g_modes, modes))
+        dpre = (g_logits @ wm.data.T) * (lin > 0)
         return (
-            g_a,
-            wh.data @ dpre,
-            wz.data @ dpre,
+            m0 * g + g_a2 + g_a1 + g_moved1 @ m,
+            dpre @ wh.data.T,
+            dpre @ wz.data.T,
             (h_query.data, dpre),
             (z_prev.data, dpre),
             (pre, g_logits),
@@ -314,34 +358,40 @@ def fuse_and_context(
     """
     if alpha_content is None and alpha_flow is None:
         raise ShapeError("at least one attention branch must be enabled")
+    x = x_nodes.data
     if alpha_content is None or alpha_flow is None:
         alpha = alpha_flow if alpha_content is None else alpha_content
-        return alpha, ad.matmul(alpha, x_nodes), None
+        a = alpha.data
+
+        def bwd_context(g):
+            return _attend_adjoint(x, g), a[..., None] * g[..., None, :]
+
+        return alpha, ad.primitive((alpha, x_nodes), _attend(a, x), bwd_context), None
     wh, wz, wg = params.fuse_wh, params.fuse_wz, params.fuse_gate
-    ac, af, x = alpha_content.data, alpha_flow.data, x_nodes.data
+    ac, af = alpha_content.data, alpha_flow.data
     lin = h_query.data @ wh.data + z_prev.data @ wz.data
     pre = np.maximum(lin, 0.0)
-    beta = _sigmoid_raw((pre @ wg.data).reshape(1))
+    beta = _sigmoid_raw((pre @ wg.data)[..., None])
     alpha = beta * ac + (1.0 - beta) * af
 
     def bwd(g_alpha, g_context, g_beta):
-        g_alpha = g_alpha + x @ g_context
-        g_gate = (g_beta + g_alpha @ (ac - af)) * beta * (1.0 - beta)
+        g_alpha = g_alpha + _attend_adjoint(x, g_context)
+        g_gate = (g_beta + _dot(g_alpha, ac - af)) * beta * (1.0 - beta)
         dpre = wg.data * g_gate * (lin > 0)
         return (
             beta * g_alpha,
             (1.0 - beta) * g_alpha,
-            wh.data @ dpre,
-            wz.data @ dpre,
-            np.outer(alpha, g_context),
+            dpre @ wh.data.T,
+            dpre @ wz.data.T,
+            alpha[..., None] * g_context[..., None, :],
             (h_query.data, dpre),
             (z_prev.data, dpre),
-            pre * g_gate,
+            _lead_sum(pre * g_gate),
         )
 
     return ad.primitive(
         (alpha_content, alpha_flow, h_query, z_prev, x_nodes, wh, wz, wg),
-        (alpha, alpha @ x, beta),
+        (alpha, _attend(alpha, x), beta),
         bwd,
     )
 
@@ -351,14 +401,14 @@ def language_step(
 ) -> tuple[Tensor, Tensor, Tensor]:
     """Language cell plus word projection: returns (h, c, probabilities).
     The projection, its bias and the softmax are one primitive."""
-    x = ad.concat([context, h_query], axis=0)
+    x = ad.concat([context, h_query], axis=-1)
     h_new, c_new = lstm_step(params.lang_cell, x, state.h_lang, state.c_lang)
     w, b = params.w_out, params.b_out
     probs = _softmax_raw(h_new.data @ w.data + b.data)
 
     def bwd(g):
-        dlogits = probs * (g - g @ probs)
-        return w.data @ dlogits, (h_new.data, dlogits), dlogits
+        dlogits = probs * (g - _dot(g, probs))
+        return dlogits @ w.data.T, (h_new.data, dlogits), _lead_sum(dlogits)
 
     return h_new, c_new, ad.primitive((h_new, w, b), probs, bwd)
 
@@ -373,33 +423,33 @@ def graph_update(
     sw, sb = params.sentinel_w, params.sentinel_b
     ew, eb, aw, ab = params.erase_w, params.erase_b, params.add_w, params.add_b
     x, h, a = x_nodes.data, h_lang.data, alpha.data
-    n_slots, dim = x.shape
-    sentinel = _sigmoid_raw((h @ sw.data).reshape(1) + sb.data)
-    u = (sentinel * a).reshape(n_slots, 1)
-    paired = np.empty((n_slots, 2 * dim))
-    paired[:, :dim] = h
-    paired[:, dim:] = x
+    dim = x.shape[-1]
+    sentinel = _sigmoid_raw((h @ sw.data)[..., None] + sb.data)
+    u = (sentinel * a)[..., None]
+    paired = np.empty(x.shape[:-1] + (2 * dim,))
+    paired[..., :dim] = h[..., None, :]
+    paired[..., dim:] = x
     erase = _sigmoid_raw(paired @ ew.data + eb.data)
     add_lin = paired @ aw.data + ab.data
     added = np.maximum(add_lin, 0.0)
     keep = 1.0 - u * erase
 
     def bwd(g, g_sentinel):
-        g_u = (g * (added - x * erase)).sum(axis=1)
+        g_u = (g * (added - x * erase)).sum(axis=-1)
         g_erase = -g * x * u * erase * (1.0 - erase)
         g_add = g * u * (add_lin > 0)
         g_paired = g_erase @ ew.data.T + g_add @ aw.data.T
-        g_gate = (g_sentinel + g_u @ a) * sentinel * (1.0 - sentinel)
+        g_gate = (g_sentinel + _dot(g_u, a)) * sentinel * (1.0 - sentinel)
         return (
-            g * keep + g_paired[:, dim:],
-            g_paired[:, :dim].sum(axis=0) + sw.data * g_gate,
+            g * keep + g_paired[..., dim:],
+            g_paired[..., :dim].sum(axis=-2) + sw.data * g_gate,
             sentinel * g_u,
-            h * g_gate,
-            g_gate,
+            _lead_sum(h * g_gate),
+            _lead_sum(g_gate),
             (paired, g_erase),
-            g_erase.sum(axis=0),
+            _lead_sum(g_erase),
             (paired, g_add),
-            g_add.sum(axis=0),
+            _lead_sum(g_add),
         )
 
     return ad.primitive(
@@ -416,8 +466,20 @@ def graph_update(
 class Hypothesis:
     tokens: list[int]
     score: float
-    state: DecoderState
+    state: DecoderState | None  # set once the hypothesis leaves the search
     finished: bool
+
+
+_STATE_TENSORS = ("x_nodes", "h_att", "c_att", "h_lang", "c_lang", "alpha", "z")
+
+
+def _take(state: DecoderState, rows) -> DecoderState:
+    """A copy of some rows of a packed state (an unbatched state is one
+    row): an int gives that row as an unbatched state, an index array a
+    packed state of those rows."""
+    batched = state.alpha.data.ndim == 2
+    datas = [getattr(state, f).data for f in _STATE_TENSORS]
+    return DecoderState(*(ad.tensor(np.array((d if batched else d[None])[rows])) for d in datas), t=state.t)
 
 
 def beam_search(
@@ -430,60 +492,53 @@ def beam_search(
 ) -> list[Hypothesis]:
     """Standard beam expansion over the model's step distribution.
 
-    Each hypothesis carries its own decoder state (the node embeddings
-    evolve per hypothesis).  Results are sorted by total log-probability
-    with no length normalization.  ``model`` must provide ``prepare``
-    and ``step`` (see CaptionModel).
+    Each hypothesis has its own decoder state (the node embeddings
+    evolve per hypothesis).  The unfinished hypotheses are the rows of
+    one packed state, advanced by one ``model.step`` call per search
+    step; a lone live hypothesis (always so at beam 1) keeps the
+    unbatched shapes, and finished ones are carried without stepping.
+    Results are sorted by total log-probability with no length
+    normalization, each with a copy of its own state.  ``model`` must
+    provide ``prepare``, ``initial_state`` and ``step`` (see
+    CaptionModel).
     """
     if beam < 1:
         raise ShapeError(f"beam must be >= 1, got {beam}")
     prepared = model.prepare(graph, feats)
-    state = model.initial_state(prepared)
+    state = model.initial_state(prepared)  # the packed rows of the live hypotheses
     bos = model.bos_id
-    beams = [Hypothesis(tokens=[], score=0.0, state=state, finished=False)]
+    beams = [Hypothesis(tokens=[], score=0.0, state=None, finished=False)]
 
     for _ in range(max_len):
-        candidates: list[Hypothesis] = []
+        prev = [h.tokens[-1] if h.tokens else bos for h in beams if not h.finished]
+        stepped, log_probs = model.step(prepared, state, np.array(prev) if state.alpha.data.ndim == 2 else prev[0])
+        log_probs = log_probs.reshape(len(prev), -1)
+        top = np.argsort(log_probs, axis=1)[:, ::-1][:, :beam]
+        # (score, parent, row of the parent, token) in beam order; a
+        # stable sort then breaks ties by that order
+        candidates = []
+        row = 0
         for hyp in beams:
             if hyp.finished:
-                candidates.append(hyp)
+                candidates.append((hyp.score, hyp, -1, -1))
                 continue
-            prev = hyp.tokens[-1] if hyp.tokens else bos
-            new_state, log_probs = model.step(prepared, hyp.state, prev)
-            top = np.argsort(log_probs)[::-1][:beam]
-            for tok in top:
-                tok = int(tok)
-                candidates.append(
-                    Hypothesis(
-                        tokens=hyp.tokens + [tok],
-                        score=hyp.score + float(log_probs[tok]),
-                        state=new_state,
-                        finished=(eos_id is not None and tok == eos_id),
-                    )
-                )
-        candidates.sort(key=lambda h: h.score, reverse=True)
-        beams = candidates[:beam]
-        if all(h.finished for h in beams):
+            toks = top[row]
+            for tok, lp in zip(toks.tolist(), log_probs[row, toks].tolist()):
+                candidates.append((hyp.score + lp, hyp, row, tok))
+            row += 1
+        candidates.sort(key=lambda c: c[0], reverse=True)
+        beams, rows = [], []
+        for score, hyp, row, tok in candidates[:beam]:
+            if row < 0:
+                beams.append(hyp)
+                continue
+            done = eos_id is not None and tok == eos_id
+            beams.append(Hypothesis(hyp.tokens + [tok], score, _take(stepped, row) if done else None, done))
+            if not done:
+                rows.append(row)
+        if not rows:
             break
-    beams.sort(key=lambda h: h.score, reverse=True)
-    # siblings share their parent's step result; the returned
-    # hypotheses each get their own copy
-    for hyp in beams:
-        hyp.state = _clone_state(hyp.state)
+        state = stepped if rows == list(range(len(prev))) else _take(stepped, np.array(rows))
+    for row, hyp in enumerate(h for h in beams if not h.finished):
+        hyp.state = _take(state, row)
     return beams
-
-
-def _clone_state(state: DecoderState) -> DecoderState:
-    def c(t: Tensor) -> Tensor:
-        return ad.tensor(t.data.copy())
-
-    return DecoderState(
-        x_nodes=c(state.x_nodes),
-        h_att=c(state.h_att),
-        c_att=c(state.c_att),
-        h_lang=c(state.h_lang),
-        c_lang=c(state.c_lang),
-        alpha=c(state.alpha),
-        z=c(state.z),
-        t=state.t,
-    )

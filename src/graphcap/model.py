@@ -4,7 +4,8 @@ The model owns all parameters, the vocabulary, and the component
 switches.  A forward pass prepares a graph once (node embeddings, fused
 scene vector, flow graph) and then steps the decoder token by token;
 the same step function serves teacher-forced training, greedy decoding,
-and beam search.
+and beam search, which steps all its live hypotheses at once as the
+rows of one batched state.
 """
 
 from __future__ import annotations
@@ -100,10 +101,12 @@ class CaptionModel:
     def initial_state(self, prepared: Prepared) -> DecoderState:
         return dec.init_state(prepared.x_enc, prepared.flow)
 
-    def _step(self, prepared: Prepared, state: DecoderState, prev_id: int):
+    def _step(self, prepared: Prepared, state: DecoderState, prev_id):
         """Advance one decode step: returns (new state, token probability
         tensor, flow modes, fusion gate, sentinel); each of the last three
-        is None when its component is switched off."""
+        is None when its component is switched off.  ``prev_id`` is an
+        int for an unbatched state, or an int array of K ids for a state
+        whose fields carry a leading axis of K rows (see beam_search)."""
         p = self.decoder
         w_prev = ad.tslice(p.word_emb, prev_id)
         h_att, c_att = dec.attention_query_step(p, state, prepared.fused, w_prev)
@@ -138,10 +141,11 @@ class CaptionModel:
         )
         return new_state, probs, modes, beta, sentinel
 
-    def step(self, prepared: Prepared, state: DecoderState, prev_id: int):
+    def step(self, prepared: Prepared, state: DecoderState, prev_id):
         """Decoding-facing step: returns the fresh state that ``_step``
         built (no primitive writes into its inputs, so states are never
-        shared mutably) and the log-probabilities as an array."""
+        shared mutably) and the log-probabilities as an array, with one
+        row per state row when batched."""
         new_state, probs, *_ = self._step(prepared, state, prev_id)
         return new_state, np.log(np.maximum(probs.data, 1e-300))
 

@@ -8,8 +8,9 @@ function of (config, dataset).
 A checkpoint is a directory: ``manifest.json`` (the ordered list of
 ``{"name", "shape"}`` of every parameter), ``weights.bin`` (their
 row-major little-endian float64 buffers concatenated in manifest
-order), ``train_config.json``, and ``vocab.json``.  Reloading
-reproduces bit-identical forward passes.
+order), ``train_config.json``, ``vocab.json`` and ``world.json``, the
+world config of the training data, from which features for the model
+are built.  Reloading reproduces bit-identical forward passes.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .graph import SceneGraph
 from .jsonio import read_json
 from .model import CaptionModel, ModelConfig
 from .optim import OptimizerState, adam_step
-from .worldgen import Scene, WorldConfig, features_for
+from .worldgen import Scene, WorldConfig, features_for, read_world
 
 __all__ = ["TrainConfig", "Checkpoint", "train", "Dataset", "Instance"]
 
@@ -97,6 +98,7 @@ class Checkpoint:
     config: TrainConfig
     vocab: Vocab
     model: CaptionModel
+    world: WorldConfig | None = None  # None for a checkpoint saved without world.json
 
     def save(self, directory: str | Path) -> None:
         directory = Path(directory)
@@ -110,13 +112,17 @@ class Checkpoint:
         with open(directory / "train_config.json", "w") as fh:
             json.dump(asdict(self.config), fh, indent=1)
         self.vocab.save(directory / "vocab.json")
+        if self.world is not None:
+            with open(directory / "world.json", "w") as fh:
+                json.dump(asdict(self.world), fh, indent=1)
 
     @classmethod
     def load(cls, directory: str | Path) -> "Checkpoint":
         """Rebuild the model of ``train_config.json`` and fill it from the
         weights; raises ``ShapeError`` unless the manifest lists exactly
         the model's parameters and ``weights.bin`` holds exactly their
-        values."""
+        values, or when ``world.json``, if present, is not a valid world
+        config."""
         directory = Path(directory)
         config = TrainConfig.from_json(read_json(directory / "train_config.json"))
         vocab = Vocab.load(directory / "vocab.json")
@@ -134,7 +140,9 @@ class Checkpoint:
             n = t.data.size
             t.data = flat[offset : offset + n].astype(np.float64).reshape(t.data.shape)
             offset += n
-        return cls(config=config, vocab=vocab, model=model)
+        world_path = directory / "world.json"
+        world = read_world(world_path) if world_path.exists() else None
+        return cls(config=config, vocab=vocab, model=model, world=world)
 
 
 def train(
@@ -181,4 +189,4 @@ def train(
         curve.append(epoch_nats / max(1, epoch_tokens))
         if log:
             log(f"epoch {epoch + 1}/{cfg.epochs}: {curve[-1]:.4f} nats/token")
-    return Checkpoint(config=cfg, vocab=dataset.vocab, model=model), curve
+    return Checkpoint(config=cfg, vocab=dataset.vocab, model=model, world=dataset.world), curve

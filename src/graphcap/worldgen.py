@@ -26,10 +26,11 @@ from .encoder import FeatureBundle
 from .errors import InvalidGraphError, NoRelationshipsError, ShapeError
 from .grammar import Grammar
 from .graph import Node, NodeRole, SceneGraph, sample_subgraph, validate_asg
-from .jsonio import decoding, read_jsonl
+from .jsonio import decoding, read_json, read_jsonl
 
 __all__ = [
     "WorldConfig",
+    "read_world",
     "SceneObject",
     "Scene",
     "gen_scene",
@@ -74,6 +75,15 @@ class WorldConfig:
     @classmethod
     def from_json(cls, obj: dict) -> "WorldConfig":
         return cls(**obj)
+
+
+def read_world(path: str | Path) -> WorldConfig:
+    """The world config in ``path``; an unknown key or a bad value
+    raises ``ShapeError``, as malformed JSON does."""
+    try:
+        return WorldConfig.from_json(read_json(path))
+    except (TypeError, ValueError) as exc:
+        raise ShapeError(f"bad world config {path}: {exc}") from None
 
 
 @dataclass(frozen=True)

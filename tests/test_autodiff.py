@@ -236,6 +236,22 @@ class TestFactorForm:
 
         assert grad_check(f, [w], eps=1e-6) < 1e-8
 
+    def test_batched_lookup_sums_the_rows_of_a_repeated_id(self):
+        # beam rows often share their previous token
+        rng = np.random.default_rng(9)
+        emb = ad.parameter(rng.normal(size=(5, 3)))
+        upstream = rng.normal(size=(3, 3))
+        with ad.record() as tape:
+            rows = ad.tslice(emb, np.array([2, 4, 2]))
+            loss = ad.tsum(ad.mul(rows, ad.tensor(upstream)))
+        ad.backward(tape, loss)
+        expected = np.zeros((5, 3))
+        expected[2] = upstream[0] + upstream[2]
+        expected[4] = upstream[1]
+        np.testing.assert_array_equal(emb.grad, expected)
+        # the same through a tensor the tape produced
+        assert grad_check(lambda: ad.tsum(ad.tanh(ad.tslice(ad.tanh(emb), np.array([1, 1, 3])))), [emb]) < 1e-8
+
     def test_two_backward_calls_accumulate(self):
         rng = np.random.default_rng(8)
         emb = ad.parameter(rng.normal(size=(5, 3)))
@@ -304,24 +320,43 @@ def weighted_sum(outputs, rng):
     return total
 
 
-def _lstm(rng, d=3):
+def _rows(k):
+    """The leading shape of a batched input: none, or k rows."""
+    return () if k is None else (k,)
+
+
+def _lstm(rng, d=3, k=None):
     cell = dec.LstmParams(*(ad.parameter(rng.normal(size=s)) for s in ((2 * d, 4 * d), (d, 4 * d), (4 * d,))))
-    x, h, c = (ad.parameter(rng.normal(size=n)) for n in (2 * d, d, d))
+    x, h, c = (ad.parameter(rng.normal(size=_rows(k) + (n,))) for n in (2 * d, d, d))
     return lambda: dec.lstm_step(cell, x, h, c), [x, h, c, cell.w_ih, cell.w_hh, cell.bias]
 
 
-def _content(rng, d=3):
+def _query(rng, d=3, k=None):
+    # the scene vector is shared by every row
     p = dec.init_decoder_params(d, 5, rng)
-    x, h = ad.parameter(rng.normal(size=(4, d))), ad.parameter(rng.normal(size=d))
+    state = dec.init_state(ad.tensor(rng.normal(size=(5, d))), build_flow(chain_graph()))
+    h_lang, h_att, c_att, w_prev = (ad.parameter(rng.normal(size=_rows(k) + (d,))) for _ in range(4))
+    state = replace(state, h_lang=h_lang, h_att=h_att, c_att=c_att)
+    fused = ad.parameter(rng.normal(size=d))
+    return (
+        lambda: dec.attention_query_step(p, state, fused, w_prev),
+        [fused, w_prev, h_lang, h_att, c_att, p.att_cell.w_ih, p.att_cell.w_hh],
+    )
+
+
+def _content(rng, d=3, k=None):
+    p = dec.init_decoder_params(d, 5, rng)
+    x, h = ad.parameter(rng.normal(size=_rows(k) + (4, d))), ad.parameter(rng.normal(size=_rows(k) + (d,)))
     return lambda: (dec.content_attention(p, x, h),), [x, h, p.content_wx, p.content_wh, p.content_score]
 
 
-def _flow(rng, d=3, fg=None):
+def _flow(rng, d=3, fg=None, k=None, raw=None):
     p = dec.init_decoder_params(d, 5, rng)
     fg = fg or build_flow(chain_graph())
-    raw = rng.random(fg.n_slots) + 0.1
-    alpha = ad.parameter(raw / raw.sum())
-    h, z = ad.parameter(rng.normal(size=d)), ad.parameter(rng.normal(size=d))
+    if raw is None:
+        raw = rng.random(_rows(k) + (fg.n_slots,)) + 0.1
+    alpha = ad.parameter(raw / raw.sum(axis=-1, keepdims=True))
+    h, z = (ad.parameter(rng.normal(size=_rows(k) + (d,))) for _ in range(2))
     return lambda: dec.flow_attention(p, fg, alpha, h, z), [alpha, h, z, p.flow_wh, p.flow_wz, p.flow_mode]
 
 
@@ -337,31 +372,52 @@ def _no_flow(rng):
     return _flow(rng, fg=FlowGraph(n_slots=4, edges=(), matrix=np.zeros((4, 4))))
 
 
-def _fuse(rng, d=3):
+def _flow_rows_vanish(rng):
+    # one edge 0 -> 1 again, with rows that differ in alpha[0]: the 1-hop
+    # mass of row 0 vanishes and that of rows 1 and 2 does not.  alpha is
+    # left out of the check, since a finite step in alpha[0] of row 0
+    # would cross the threshold; TestBatchedAdjointsMatchRows covers it.
+    m = np.zeros((4, 4))
+    m[1, 0] = 1.0
+    raw = np.array([[0.0, 0.3, 0.3, 0.4], [0.5, 0.2, 0.2, 0.1], [0.2, 0.4, 0.1, 0.3]])
+    fn, params = _flow(rng, fg=FlowGraph(n_slots=4, edges=((0, 1),), matrix=m), k=3, raw=raw)
+    return fn, params[1:]
+
+
+def _fuse(rng, d=3, k=None):
     p = dec.init_decoder_params(d, 5, rng)
-    ac, af = (ad.parameter(rng.dirichlet(np.ones(4))) for _ in range(2))
-    h, z, x = ad.parameter(rng.normal(size=d)), ad.parameter(rng.normal(size=d)), ad.parameter(rng.normal(size=(4, d)))
+    ac, af = (ad.parameter(rng.dirichlet(np.ones(4), size=k)) for _ in range(2))
+    h, z = (ad.parameter(rng.normal(size=_rows(k) + (d,))) for _ in range(2))
+    x = ad.parameter(rng.normal(size=_rows(k) + (4, d)))
     return (
         lambda: dec.fuse_and_context(p, ac, af, h, z, x),
         [ac, af, h, z, x, p.fuse_wh, p.fuse_wz, p.fuse_gate],
     )
 
 
-def _language(rng, d=3):
+def _context_only(rng, d=3, k=None):
+    # one attention branch off: the context alone is the primitive
+    x = ad.parameter(rng.normal(size=_rows(k) + (4, d)))
+    alpha, h, z = ad.parameter(rng.dirichlet(np.ones(4), size=k)), ad.tensor(np.zeros(d)), ad.tensor(np.zeros(d))
+    p = dec.init_decoder_params(d, 5, rng)
+    return lambda: dec.fuse_and_context(p, alpha, None, h, z, x)[1:2], [alpha, x]
+
+
+def _language(rng, d=3, k=None):
     p = dec.init_decoder_params(d, 5, rng)
     state = dec.init_state(ad.tensor(rng.normal(size=(5, d))), build_flow(chain_graph()))
-    state = replace(state, h_lang=ad.parameter(rng.normal(size=d)), c_lang=ad.parameter(rng.normal(size=d)))
-    ctx, hq = ad.parameter(rng.normal(size=d)), ad.parameter(rng.normal(size=d))
+    h_lang, c_lang, ctx, hq = (ad.parameter(rng.normal(size=_rows(k) + (d,))) for _ in range(4))
+    state = replace(state, h_lang=h_lang, c_lang=c_lang)
     return (
         lambda: dec.language_step(p, state, ctx, hq),
-        [state.h_lang, state.c_lang, ctx, hq, p.w_out, p.b_out, p.lang_cell.w_hh],
+        [h_lang, c_lang, ctx, hq, p.w_out, p.b_out, p.lang_cell.w_hh],
     )
 
 
-def _graph_update(rng, d=3):
+def _graph_update(rng, d=3, k=None):
     p = dec.init_decoder_params(d, 5, rng)
-    x, h = ad.parameter(rng.normal(size=(4, d))), ad.parameter(rng.normal(size=d))
-    alpha = ad.parameter(rng.dirichlet(np.ones(4)))
+    x, h = ad.parameter(rng.normal(size=_rows(k) + (4, d))), ad.parameter(rng.normal(size=_rows(k) + (d,)))
+    alpha = ad.parameter(rng.dirichlet(np.ones(4), size=k))
     return (
         lambda: dec.graph_update(p, x, h, alpha),
         [x, h, alpha, p.sentinel_w, p.sentinel_b, p.erase_w, p.erase_b, p.add_w, p.add_b],
@@ -394,17 +450,35 @@ def _mrgcn(rng, d=3):
 # name -> (maker of (forward, inputs to check), number of outputs)
 FUSED = {
     "lstm_cell": (_lstm, 2),
+    "attention_query": (_query, 2),
     "content_attention": (_content, 1),
     "flow_attention": (_flow, 2),
     "flow_attention_two_hop_vanishes": (_nilpotent_flow, 2),
     "flow_attention_no_transport": (_no_flow, 2),
     "fuse_and_context": (_fuse, 3),
+    "attended_context": (_context_only, 1),
     "language_step": (_language, 3),
     "graph_update": (_graph_update, 2),
     "role_embed": (_role_embed, 1),
     "mrgcn_layer": (_mrgcn, 1),
     "mean_nll": (_mean_nll, 1),
 }
+
+# the decoder primitives again, on K=3 rows with a leading batch axis
+BATCHED = {
+    "lstm_cell": _lstm,
+    "attention_query": _query,
+    "content_attention": _content,
+    "flow_attention": _flow,
+    "fuse_and_context": _fuse,
+    "attended_context": _context_only,
+    "language_step": _language,
+    "graph_update": _graph_update,
+}
+FUSED.update(
+    {f"{name}_k3": (lambda rng, make=make: make(rng, k=3), FUSED[name][1]) for name, make in BATCHED.items()}
+)
+FUSED["flow_attention_k3_one_row_vanishes"] = (_flow_rows_vanish, 2)
 
 # every output together, then each output of a multi-output primitive
 # alone (the others reach the backward pass with zero adjoints)
@@ -435,6 +509,44 @@ class TestFusedAdjointsMatchFiniteDifferences:
         fn, params = _no_flow(np.random.default_rng(1))
         total, _ = fn()
         np.testing.assert_allclose(total.data, params[0].data, atol=1e-15)
+
+
+class TestBatchedRowsMatchUnbatched:
+    def test_flow_attention_with_a_row_whose_transport_vanishes(self):
+        # row 0 keeps its previous attention on the 1-hop transport, rows
+        # 1 and 2 do not; each row's outputs and adjoints are those of an
+        # unbatched call on that row alone
+        rng = np.random.default_rng(2)
+        p = dec.init_decoder_params(3, 5, rng)
+        m = np.zeros((4, 4))
+        m[1, 0] = 1.0
+        fg = FlowGraph(n_slots=4, edges=((0, 1),), matrix=m)
+        alpha = np.array([[0.0, 0.3, 0.3, 0.4], [0.5, 0.2, 0.2, 0.1], [0.2, 0.4, 0.1, 0.3]])
+        h, z = rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
+        weights = rng.normal(size=(3, 4)), rng.normal(size=(3, 3))
+        weight_params = [p.flow_wh, p.flow_wz, p.flow_mode]
+
+        def run(rows):
+            ad.zero_grads(weight_params)
+            inputs = [ad.parameter(v[rows]) for v in (alpha, h, z)]
+            with ad.record() as tape:
+                outs = dec.flow_attention(p, fg, *inputs)
+                total = None
+                for o, w in zip(outs, weights):
+                    term = ad.tsum(ad.mul(o, ad.tensor(w[rows])))
+                    total = term if total is None else ad.add(total, term)
+            ad.backward(tape, total)
+            return [o.data for o in outs], [t.grad for t in inputs], [w.grad.copy() for w in weight_params]
+
+        outs, grads, wgrads = run(slice(None))
+        row_wgrads = [0.0] * 3
+        for r in range(3):
+            r_outs, r_grads, r_wgrads = run(r)
+            for got, want in zip([o[r] for o in outs] + [g[r] for g in grads], r_outs + r_grads):
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+            row_wgrads = [a + b for a, b in zip(row_wgrads, r_wgrads)]
+        for got, want in zip(wgrads, row_wgrads):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
 
 
 class TestModelGradCheckPerAblation:

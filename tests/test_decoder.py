@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphcap import autodiff as ad
 from graphcap.decoder import (
@@ -352,6 +354,21 @@ class TestBeamSearch:
             assert tokens in got
             assert abs(got[tokens] - score) < 1e-12
 
+    def test_one_packed_step_per_search_step(self):
+        model, _ = tiny_model(("aa", "bb", "cc"), seed=2)
+        g, feats = tiny_input(seed=2)
+        rows = []
+        original = model.step
+
+        def counting(prepared, state, prev):
+            rows.append(np.size(prev))
+            return original(prepared, state, prev)
+
+        model.step = counting
+        hyps = beam_search(model, g, feats, beam=5, max_len=4, eos_id=None)
+        assert len(hyps) == 5
+        assert rows == [1, 5, 5, 5]
+
     def test_rejects_bad_beam(self):
         model, _ = tiny_model()
         g, feats = tiny_input()
@@ -366,6 +383,64 @@ class TestBeamSearch:
         before = b.state.x_nodes.data.copy()
         a.state.x_nodes.data[:] = 1234.5
         np.testing.assert_array_equal(b.state.x_nodes.data, before)
+
+
+def reference_beam_search(model, g, feats, beam, max_len, eos_id):
+    """Beam search one hypothesis at a time: each unfinished hypothesis
+    takes its own unbatched ``model.step`` (the packed search's oracle).
+    Returns (tokens, score) pairs, best first."""
+    prepared = model.prepare(g, feats)
+    beams = [([], 0.0, model.initial_state(prepared), False)]
+    for _ in range(max_len):
+        candidates = []
+        for tokens, score, state, finished in beams:
+            if finished:
+                candidates.append((tokens, score, state, finished))
+                continue
+            new_state, log_probs = model.step(prepared, state, tokens[-1] if tokens else model.bos_id)
+            for tok in np.argsort(log_probs)[::-1][:beam]:
+                tok = int(tok)
+                candidates.append((tokens + [tok], score + float(log_probs[tok]), new_state, tok == eos_id))
+        candidates.sort(key=lambda c: c[1], reverse=True)
+        beams = candidates[:beam]
+        if all(c[3] for c in beams):
+            break
+    return [(tokens, score) for tokens, score, _, _ in beams]
+
+
+GRAPHS = [
+    ([O], []),
+    ([O, A], [(0, 1)]),
+    ([O, R, O], [(0, 1), (1, 2)]),
+    ([O, A, R, O, A], [(0, 1), (0, 2), (2, 3), (3, 4)]),
+]
+SWITCHES = [{}, {"use_flow_attention": False}, {"use_content_attention": False}, {"use_graph_update": False}]
+
+
+class TestPackedBeamSearchMatchesReference:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        dim=st.integers(2, 5),
+        n_words=st.integers(1, 4),
+        graph=st.sampled_from(GRAPHS),
+        switches=st.sampled_from(SWITCHES),
+        beam=st.integers(1, 6),
+        max_len=st.integers(1, 5),
+        use_eos=st.booleans(),
+    )
+    def test_same_hypotheses(self, seed, dim, n_words, graph, switches, beam, max_len, use_eos):
+        vocab = Vocab.build([f"w{i}" for i in range(n_words)])
+        model = CaptionModel(ModelConfig(dim=dim, n_layers=1, **switches), vocab, seed=seed)
+        g = make_graph(*graph)
+        rng = np.random.default_rng(seed)
+        feats = FeatureBundle(node_features=rng.normal(size=(g.n_nodes, dim)), scene_feature=rng.normal(size=dim))
+        eos_id = model.eos_id if use_eos else None
+        got = beam_search(model, g, feats, beam=beam, max_len=max_len, eos_id=eos_id)
+        want = reference_beam_search(model, g, feats, beam, max_len, eos_id)
+        assert [h.tokens for h in got] == [tokens for tokens, _ in want]
+        for h, (_, score) in zip(got, want):
+            assert abs(h.score - score) <= 1e-12 * max(1.0, abs(score))
 
 
 class TestStepInvariants:

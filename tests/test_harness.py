@@ -292,10 +292,13 @@ class TestBadCheckpoint:
             {"train_config.json": json_edit(lambda config: {**config, "no_such_key": 1})},
             {"train_config.json": cut_short},
             {"manifest.json": cut_short},
+            {"world.json": cut_short},
+            {"world.json": json_edit(lambda world: {**world, "noise": -1.0})},
         ],
         ids=[
             "truncated-weights", "extra-tensor", "unknown-config-key",
             "cut-short-train-config", "cut-short-manifest",
+            "cut-short-world", "bad-world-value",
         ],
     )
     def test_load_raises_shape_error_and_caption_exits_2(self, saved, tmp_path, capsys, edits):
@@ -306,6 +309,63 @@ class TestBadCheckpoint:
         assert caption(saved, ck) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+
+
+class TestWorldInCheckpoint:
+    """A checkpoint keeps the world config of its training data, so the
+    features it is fed are built as in training."""
+
+    def test_save_load_keeps_world(self, saved):
+        ckpt = Checkpoint.load(saved / "ckpt")
+        assert ckpt.world == tiny_dataset(6).world
+        assert ckpt.world != WorldConfig(dim=ckpt.config.dim)
+
+    def test_checkpoint_without_world_loads(self, saved, tmp_path):
+        ck = tmp_path / "ck"
+        shutil.copytree(saved / "ckpt", ck)
+        (ck / "world.json").unlink()
+        assert Checkpoint.load(ck).world is None
+
+    def test_caption_defaults_to_checkpoint_world(self, saved, monkeypatch):
+        from graphcap import cli
+
+        worlds = []
+
+        def recording(scene, graph, world):
+            worlds.append(world)
+            return features_for(scene, graph, world)
+
+        monkeypatch.setattr(cli, "features_for", recording)
+        assert cli.main([
+            "caption", "--ckpt", str(saved / "ckpt"), "--scene", str(saved / "scene.json"),
+            "--asg", str(saved / "asg.json"),
+        ]) == 0
+        assert worlds == [tiny_dataset(6).world]
+
+    def test_caption_with_another_world_exits_2(self, saved, tmp_path, capsys):
+        other = tmp_path / "other"
+        other.mkdir()
+        (other / "world.json").write_text(json.dumps({**asdict(tiny_dataset(6).world), "noise": 0.3}))
+        from graphcap.cli import main
+
+        code = main([
+            "caption", "--ckpt", str(saved / "ckpt"), "--scene", str(saved / "scene.json"),
+            "--asg", str(saved / "asg.json"), "--world", str(other / "world.json"),
+        ])
+        assert code == 2
+        assert "differs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval-control", "eval-diversity"])
+    def test_eval_on_data_of_another_world_exits_2(self, saved, tmp_path, capsys, command):
+        from graphcap.cli import main
+
+        (tmp_path / "w.json").write_text(json.dumps({**asdict(tiny_dataset(6).world), "prototype_seed": 8}))
+        data = tmp_path / "data"
+        assert main(["gen-data", "--config", str(tmp_path / "w.json"), "--out", str(data), "--count", "4"]) == 0
+        capsys.readouterr()
+        code = main([command, "--ckpt", str(saved / "ckpt"), "--data", str(data), "--report", str(tmp_path / "r.json")])
+        assert code == 2
+        assert "differs" in capsys.readouterr().err
 
 
 class TestBadWorldConfig:
