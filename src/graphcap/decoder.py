@@ -22,14 +22,20 @@ stacks over the decode steps into one product per weight.
 
 Every primitive also takes a leading batch axis of K rows: the state
 fields ``x_nodes`` (K, S, d), ``alpha`` (K, S) and ``h``, ``c``, ``z``
-(K, d), with the per-graph scene vector and flow matrix shared by all
-rows.  Each row keeps its own vanishing-mass fallback in the flow
-transports, and the adjoints of shared weights sum over the rows.  Beam
-search packs the states of its unfinished hypotheses into one batched
-state and advances them with one step per search step (small per-row
-GEMMs batched into one, as Appleyard et al. batch them across time).
-Unbatched calls (training, the loss, greedy decoding) run the same
-numpy calls as without the axis.
+(K, d).  The rows of one graph share its scene vector and flow matrix;
+a pack of several graphs gives each row its own scene vector (K, d) and
+flow matrix (K, S, S), with the slots past a graph's own zero-padded up
+to the pack's most slots S and a (K, S) slot mask that keeps them at
+exactly zero content attention.  Padded slots then also get zero flow
+mass (the padded matrix entries are zero) and zero update intensity, so
+a row computes what its graph alone would.  Each row keeps its own
+vanishing-mass fallback in the flow transports, and the adjoints of
+shared weights sum over the rows.  Beam search packs the unfinished
+hypotheses of all its requests into one batched state and advances
+them with one step per search step (small per-row GEMMs batched into
+one, as Appleyard et al. batch them across time).  Unbatched calls
+(training, the loss, greedy decoding) run the same numpy calls as
+without the axis.
 """
 
 from __future__ import annotations
@@ -166,15 +172,17 @@ class DecoderState:
     t: int
 
 
-def init_state(x_enc: Tensor, fg: FlowGraph) -> DecoderState:
+def init_state(x_enc: Tensor, fg: FlowGraph | np.ndarray) -> DecoderState:
     """Attention starts one-hot on the start slot; recurrent states and
-    the context vector start at zero."""
-    n_slots, dim = x_enc.data.shape
-    if fg.n_slots != n_slots:
-        raise ShapeError(f"flow graph has {fg.n_slots} slots, embeddings {n_slots}")
-    alpha0 = np.zeros(n_slots)
-    alpha0[0] = 1.0
-    zeros = np.zeros(dim)
+    the context vector start at zero.  A pack's ``x_enc`` (K, S, d) and
+    flow matrices (K, S, S) give a state of K rows."""
+    *rows, n_slots, dim = x_enc.data.shape
+    flow_slots = fg.n_slots if isinstance(fg, FlowGraph) else fg.shape[-1]
+    if flow_slots != n_slots:
+        raise ShapeError(f"flow graph has {flow_slots} slots, embeddings {n_slots}")
+    alpha0 = np.zeros((*rows, n_slots))
+    alpha0[..., 0] = 1.0
+    zeros = np.zeros((*rows, dim))
     return DecoderState(
         x_nodes=x_enc,
         h_att=ad.tensor(zeros),
@@ -245,19 +253,25 @@ def attention_query_step(
     params: DecoderParams, state: DecoderState, fused: Tensor, w_prev: Tensor
 ) -> tuple[Tensor, Tensor]:
     """Query cell: consumes [fused scene; previous word; previous
-    language hidden] and advances the query LSTM.  The scene vector is
-    shared by the rows of a batched state."""
-    if w_prev.data.ndim == 2:
+    language hidden] and advances the query LSTM.  One scene vector (d,)
+    is shared by the rows of a batched state; a pack gives one per row
+    (K, d)."""
+    if w_prev.data.ndim == 2 and fused.data.ndim == 1:
         fused = _repeat_rows(fused, len(w_prev.data))
     x = ad.concat([fused, w_prev, state.h_lang], axis=-1)
     return lstm_step(params.att_cell, x, state.h_att, state.c_att)
 
 
-def content_attention(params: DecoderParams, x_nodes: Tensor, h_query: Tensor) -> Tensor:
-    """softmax over slots of w_c . tanh(X W_x + h W_h), as one primitive."""
+def content_attention(
+    params: DecoderParams, x_nodes: Tensor, h_query: Tensor, mask: np.ndarray | None = None
+) -> Tensor:
+    """softmax over slots of w_c . tanh(X W_x + h W_h), as one primitive.
+    Slots where the boolean ``mask`` (a pack's padding) is false get
+    exactly zero attention, and so zero adjoints."""
     wx, wh, ws = params.content_wx, params.content_wh, params.content_score
     hidden = np.tanh(x_nodes.data @ wx.data + (h_query.data @ wh.data)[..., None, :])
-    alpha = _softmax_raw(hidden @ ws.data)
+    scores = hidden @ ws.data
+    alpha = _softmax_raw(scores if mask is None else np.where(mask, scores, -np.inf))
 
     def bwd(g):
         dscores = alpha * (g - _dot(g, alpha))
@@ -272,6 +286,18 @@ def content_attention(params: DecoderParams, x_nodes: Tensor, h_query: Tensor) -
         )
 
     return ad.primitive((x_nodes, h_query, wx, wh, ws), alpha, bwd)
+
+
+def _transport(m: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Each row of ``a`` moved one step along the flow (``m @ a``): by
+    one matrix (S, S) shared by the rows, or by its own of a (K, S, S)
+    stack."""
+    return a @ m.T if m.ndim == 2 else (m @ a[..., None])[..., 0]
+
+
+def _transport_adjoint(m: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``g @ m`` of each row: the adjoint of ``_transport`` in ``a``."""
+    return g @ m if m.ndim == 2 else (g[..., None, :] @ m)[..., 0, :]
 
 
 def _renormalize(moved: np.ndarray, fallback: np.ndarray):
@@ -298,7 +324,7 @@ def _renormalize_adjoint(g: np.ndarray, dist: np.ndarray, mass, kept):
 
 def flow_attention(
     params: DecoderParams,
-    fg: FlowGraph,
+    fg: FlowGraph | np.ndarray,
     alpha_prev: Tensor,
     h_query: Tensor,
     z_prev: Tensor,
@@ -308,17 +334,18 @@ def flow_attention(
 
     The three transports share the matrix products: the un-normalized
     1-hop result feeds the 2-hop product before either is renormalized.
-    The flow matrix is shared by the rows of a batched state.
+    The flow graph's matrix is shared by the rows of a batched state; a
+    pack passes a (K, S, S) stack of matrices, one per row.
     """
     wh, wz, wm = params.flow_wh, params.flow_wz, params.flow_mode
-    m = fg.matrix
+    m = fg.matrix if isinstance(fg, FlowGraph) else fg
     a = alpha_prev.data
     lin = h_query.data @ wh.data + z_prev.data @ wz.data
     pre = np.maximum(lin, 0.0)
     modes = _softmax_raw(pre @ wm.data)
     m0, m1, m2 = modes.tolist() if modes.ndim == 1 else modes.T[..., None]
-    moved1 = a @ m.T
-    moved2 = moved1 @ m.T
+    moved1 = _transport(m, a)
+    moved2 = _transport(m, moved1)
     t1, mass1, kept1 = _renormalize(moved1, a)
     t2, mass2, kept2 = _renormalize(moved2, a)
     total = m0 * a + m1 * t1 + m2 * t2
@@ -327,11 +354,11 @@ def flow_attention(
         g_modes = g_modes + np.hstack([_dot(g, a), _dot(g, t1), _dot(g, t2)])
         g_moved2, g_a2 = _renormalize_adjoint(m2 * g, t2, mass2, kept2)
         g_moved1, g_a1 = _renormalize_adjoint(m1 * g, t1, mass1, kept1)
-        g_moved1 = g_moved1 + g_moved2 @ m
+        g_moved1 = g_moved1 + _transport_adjoint(m, g_moved2)
         g_logits = modes * (g_modes - _dot(g_modes, modes))
         dpre = (g_logits @ wm.data.T) * (lin > 0)
         return (
-            m0 * g + g_a2 + g_a1 + g_moved1 @ m,
+            m0 * g + g_a2 + g_a1 + _transport_adjoint(m, g_moved1),
             dpre @ wh.data.T,
             dpre @ wz.data.T,
             (h_query.data, dpre),
@@ -470,75 +497,135 @@ class Hypothesis:
     finished: bool
 
 
+@dataclass
+class _Search:
+    """One distinct request of a pack: its width, its graph's row in
+    the pack and that graph's slot count, and its current beam."""
+
+    width: int
+    graph: int
+    n_slots: int
+    beams: list[Hypothesis]
+
+
 _STATE_TENSORS = ("x_nodes", "h_att", "c_att", "h_lang", "c_lang", "alpha", "z")
+_SLOTTED = [f in ("x_nodes", "alpha") for f in _STATE_TENSORS]  # the fields with a slot axis
 
 
-def _take(state: DecoderState, rows) -> DecoderState:
+def _take(state: DecoderState, rows, n_slots: int | None = None) -> DecoderState:
     """A copy of some rows of a packed state (an unbatched state is one
     row): an int gives that row as an unbatched state, an index array a
-    packed state of those rows."""
+    packed state of those rows.  ``n_slots`` cuts the slot axis back to
+    a graph's own slots."""
     batched = state.alpha.data.ndim == 2
-    datas = [getattr(state, f).data for f in _STATE_TENSORS]
-    return DecoderState(*(ad.tensor(np.array((d if batched else d[None])[rows])) for d in datas), t=state.t)
+    slots = rows if n_slots is None else (rows, slice(n_slots))
+    one = isinstance(rows, int)  # one row is a view to copy; an index array gathers a copy
+    taken = []
+    for f, slotted in zip(_STATE_TENSORS, _SLOTTED):
+        d = getattr(state, f).data
+        d = (d if batched else d[None])[slots if slotted else rows]
+        taken.append(ad.tensor(np.array(d) if one else d))
+    return DecoderState(*taken, t=state.t)
 
 
-def beam_search(
-    model,
-    graph,
-    feats,
-    beam: int,
-    max_len: int,
-    eos_id: int | None = None,
-) -> list[Hypothesis]:
-    """Standard beam expansion over the model's step distribution.
+def beam_search(model, requests, max_len: int, eos_id: int | None = None) -> list[list[Hypothesis]]:
+    """Standard beam expansion over the model's step distribution, for a
+    pack of requests ``(graph, feats, width)`` searched together.
 
     Each hypothesis has its own decoder state (the node embeddings
-    evolve per hypothesis).  The unfinished hypotheses are the rows of
-    one packed state, advanced by one ``model.step`` call per search
-    step; a lone live hypothesis (always so at beam 1) keeps the
-    unbatched shapes, and finished ones are carried without stepping.
-    Results are sorted by total log-probability with no length
-    normalization, each with a copy of its own state.  ``model`` must
-    provide ``prepare``, ``initial_state`` and ``step`` (see
+    evolve per hypothesis).  The unfinished hypotheses of every request
+    are the rows of one packed state, advanced by one ``model.step`` call
+    per search step; finished ones are carried without stepping.  Each
+    distinct graph (the same graph and feature objects) is prepared
+    once.  A pack of one graph steps with its own prepared inputs (a
+    lone live row keeps the unbatched shapes, always so for one request
+    at width 1); a pack of several steps with the rows of
+    ``model.pack``, each row reading its own graph's scene vector, flow
+    matrix and slot mask.  Each request keeps its own top-``width``
+    bookkeeping, and identical requests are searched once.
+
+    Returns one list per request, sorted by total log-probability with
+    no length normalization, each hypothesis with a copy of its own
+    state cut back to its graph's slots.  ``model`` must provide
+    ``prepare``, ``pack``, ``initial_state`` and ``step`` (see
     CaptionModel).
     """
-    if beam < 1:
-        raise ShapeError(f"beam must be >= 1, got {beam}")
-    prepared = model.prepare(graph, feats)
-    state = model.initial_state(prepared)  # the packed rows of the live hypotheses
+    prepared, graph_of, search_of, order = [], {}, {}, []
+    for g, feats, width in requests:
+        if width < 1:
+            raise ShapeError(f"beam must be >= 1, got {width}")
+        key = (id(g), id(feats), width)
+        search = search_of.get(key)
+        if search is None:
+            graph = graph_of.get(key[:2])
+            if graph is None:
+                graph = graph_of[key[:2]] = len(prepared)
+                prepared.append(model.prepare(g, feats))
+            root = Hypothesis([], 0.0, None, False)
+            search = search_of[key] = _Search(width, graph, prepared[graph].flow.n_slots, [root])
+        order.append(search)
+
+    one_graph = len(prepared) == 1
+    pack = prepared[0] if one_graph else model.pack(prepared)
+    state = model.initial_state(pack)  # the packed rows of the live hypotheses
+    live = list(search_of.values())
+    if len(live) > 1:  # one row per search, not per graph
+        state = _take(state, np.array([s.graph for s in live]))
     bos = model.bos_id
-    beams = [Hypothesis(tokens=[], score=0.0, state=None, finished=False)]
+    width = max(s.width for s in live)
 
     for _ in range(max_len):
-        prev = [h.tokens[-1] if h.tokens else bos for h in beams if not h.finished]
-        stepped, log_probs = model.step(prepared, state, np.array(prev) if state.alpha.data.ndim == 2 else prev[0])
+        prev = [h.tokens[-1] if h.tokens else bos for s in live for h in s.beams if not h.finished]
+        if one_graph:
+            step_pack = pack
+        else:  # each row reads its own graph's inputs
+            step_pack = pack.rows(np.array([s.graph for s in live for h in s.beams if not h.finished]))
+        batched = state.alpha.data.ndim == 2
+        stepped, log_probs = model.step(step_pack, state, np.array(prev) if batched else prev[0])
         log_probs = log_probs.reshape(len(prev), -1)
-        top = np.argsort(log_probs, axis=1)[:, ::-1][:, :beam]
-        # (score, parent, row of the parent, token) in beam order; a
-        # stable sort then breaks ties by that order
-        candidates = []
-        row = 0
-        for hyp in beams:
-            if hyp.finished:
-                candidates.append((hyp.score, hyp, -1, -1))
-                continue
-            toks = top[row]
-            for tok, lp in zip(toks.tolist(), log_probs[row, toks].tolist()):
-                candidates.append((hyp.score + lp, hyp, row, tok))
-            row += 1
-        candidates.sort(key=lambda c: c[0], reverse=True)
-        beams, rows = [], []
-        for score, hyp, row, tok in candidates[:beam]:
-            if row < 0:
-                beams.append(hyp)
-                continue
-            done = eos_id is not None and tok == eos_id
-            beams.append(Hypothesis(hyp.tokens + [tok], score, _take(stepped, row) if done else None, done))
-            if not done:
-                rows.append(row)
+        top = np.argsort(log_probs, axis=1)[:, ::-1][:, :width]
+        rows, still_live, row = [], [], 0
+        for s in live:
+            # (score, parent, row of the parent, token) in beam order; a
+            # stable sort then breaks ties by that order
+            candidates = []
+            for hyp in s.beams:
+                if hyp.finished:
+                    candidates.append((hyp.score, hyp, -1, -1))
+                    continue
+                toks = top[row, : s.width]
+                for tok, lp in zip(toks.tolist(), log_probs[row, toks].tolist()):
+                    candidates.append((hyp.score + lp, hyp, row, tok))
+                row += 1
+            candidates.sort(key=lambda c: c[0], reverse=True)
+            s.beams = []
+            n_rows = len(rows)
+            for score, hyp, r, tok in candidates[: s.width]:
+                if r < 0:
+                    s.beams.append(hyp)
+                    continue
+                done = eos_id is not None and tok == eos_id
+                own = _take(stepped, r, s.n_slots) if done else None
+                s.beams.append(Hypothesis(hyp.tokens + [tok], score, own, done))
+                if not done:
+                    rows.append(r)
+            if len(rows) > n_rows:
+                still_live.append(s)
         if not rows:
             break
+        live = still_live
         state = stepped if rows == list(range(len(prev))) else _take(stepped, np.array(rows))
-    for row, hyp in enumerate(h for h in beams if not h.finished):
-        hyp.state = _take(state, row)
-    return beams
+    row = 0
+    for s in live:
+        for hyp in s.beams:
+            if not hyp.finished:
+                hyp.state = _take(state, row, s.n_slots)
+                row += 1
+    out, seen = [], set()
+    for s in order:
+        if id(s) in seen:  # a repeated request gets copies, so that states stay isolated
+            out.append([Hypothesis(list(h.tokens), h.score, _take(h.state, 0), h.finished) for h in s.beams])
+        else:
+            out.append(s.beams)
+        seen.add(id(s))
+    return out

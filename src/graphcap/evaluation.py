@@ -4,7 +4,9 @@ Controllability decodes each held-out instance with the graph aligned
 to its groundtruth caption and scores the output against that caption.
 Diversity decodes several distinct sampled subgraphs per scene and
 compares the spread of the resulting captions against a baseline that
-re-decodes a single graph with beam variants.
+re-decodes a single graph with beam variants.  All decodes of a scene
+are one packed search over several graphs (see ``decoder.beam_search``);
+control decodes stay one request per search.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NoRelationshipsError
-from .graph import SceneGraph, sample_subgraph, validate_asg
+from .graph import SceneGraph, subgraph_sampler, validate_asg
 from .metrics import (
     MetricReport,
     cider_d,
@@ -138,10 +140,11 @@ def _distinct_subgraphs(g_full: SceneGraph, samples: int, rng: np.random.Generat
     """Sample subgraphs until ``samples`` structurally distinct ones
     accumulate (falling back to duplicates when the source graph cannot
     offer more variety)."""
+    draw = subgraph_sampler(g_full)
     seen = {}
     attempts = 0
     while len(seen) < samples and attempts < tries:
-        sub = sample_subgraph(g_full, rng)
+        sub = draw(rng)
         key = (
             tuple(n.role.value for n in sub.nodes),
             sub.edges,
@@ -151,7 +154,7 @@ def _distinct_subgraphs(g_full: SceneGraph, samples: int, rng: np.random.Generat
         attempts += 1
     out = list(seen.values())
     while len(out) < samples:
-        out.append(sample_subgraph(g_full, rng))
+        out.append(draw(rng))
     return out[:samples]
 
 
@@ -164,8 +167,13 @@ def evaluate_diversity(
     graph_source=None,
 ) -> DiversityResult:
     """Decode ``samples`` distinct sampled subgraphs per scene and score
-    caption diversity; the baseline decodes one graph with a beam of the
-    same width and takes the top hypotheses.
+    caption diversity; the baseline decodes the first of them with beam
+    widths 1..``samples`` and keeps each run's best caption.
+
+    A scene's decodes are one packed search: the sampled graphs at width
+    1 and the baseline widths, with each distinct graph prepared once
+    and its features built once.  The baseline's width-1 request is the
+    first sampled request, so it is decoded once.
 
     ``graph_source`` maps a scene to the full graph to sample from
     (defaults to the scene's true graph; pass an automatic pipeline to
@@ -187,22 +195,16 @@ def evaluate_diversity(
                 single_object_graph(scene, int(rng.integers(len(scene.objects))), 1)
                 for _ in range(samples)
             ]
-        captions = []
-        for sub in subs:
-            if validate_asg(sub):
-                continue
-            feats = features_for(scene, sub, dataset.world)
-            captions.append(model.caption_tokens(sub, feats, beam=1, max_len=ckpt.config.max_len))
-        if not captions:
+        feats = [None if validate_asg(sub) else features_for(scene, sub, dataset.world) for sub in subs]
+        sampled = [(sub, f, 1) for sub, f in zip(subs, feats) if f is not None]
+        if not sampled:
             continue
-
         # baseline: re-decode the same graph, varying only the beam
         # width, and keep each run's best caption
-        feats0 = features_for(scene, subs[0], dataset.world)
-        base_caps = [
-            model.caption_tokens(subs[0], feats0, beam=b, max_len=ckpt.config.max_len)
-            for b in range(1, samples + 1)
-        ]
+        feats0 = feats[0] if feats[0] is not None else features_for(scene, subs[0], dataset.world)
+        baseline = [(subs[0], feats0, b) for b in range(1, samples + 1)]
+        decoded = model.caption_pack(sampled + baseline, max_len=ckpt.config.max_len)
+        captions, base_caps = decoded[: len(sampled)], decoded[len(sampled) :]
 
         row = {"scene_id": sid, "captions": captions, "baseline_captions": base_caps}
         set_scores["div1"].append(div_n(captions, 1))

@@ -26,9 +26,11 @@ across threads.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -47,6 +49,7 @@ __all__ = [
     "build_flow",
     "flow_step",
     "sample_subgraph",
+    "subgraph_sampler",
     "asg_to_json",
     "asg_from_json",
 ]
@@ -358,10 +361,22 @@ def sample_subgraph(g_full: SceneGraph, rng: np.random.Generator) -> SceneGraph:
     one attribute on each endpoint (probability 1/2 where the endpoint
     has attributes in the source graph).  Region groundings carry over.
     """
+    return subgraph_sampler(g_full)(rng)
+
+
+def subgraph_sampler(g_full: SceneGraph) -> Callable[[np.random.Generator], SceneGraph]:
+    """``sample_subgraph`` of ``g_full`` as a function of the generator:
+    the graph is validated and its triples found once, not per draw.
+    Each draw takes the same random numbers and gives the same subgraph
+    as ``sample_subgraph(g_full, rng)``."""
     _require_valid(g_full)
     triples = g_full.relationship_triples()
     if not triples:
         raise NoRelationshipsError("source graph has no relationship nodes")
+    return partial(_draw_subgraph, g_full, triples)
+
+
+def _draw_subgraph(g_full: SceneGraph, triples, rng: np.random.Generator) -> SceneGraph:
     subj, rel, obj = triples[rng.integers(len(triples))]
 
     nodes: list[Node] = []

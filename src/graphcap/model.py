@@ -5,7 +5,10 @@ switches.  A forward pass prepares a graph once (node embeddings, fused
 scene vector, flow graph) and then steps the decoder token by token;
 the same step function serves teacher-forced training, greedy decoding,
 and beam search, which steps all its live hypotheses at once as the
-rows of one batched state.
+rows of one batched state.  Beam search also packs the requests of
+several graphs into one search (``caption_pack``): each graph's
+prepared inputs are zero-padded to the pack's most slots and become
+rows of one ``Prepared`` with a slot mask (``CaptionModel.pack``).
 """
 
 from __future__ import annotations
@@ -47,11 +50,27 @@ class ModelConfig:
 
 @dataclass
 class Prepared:
-    """Per-input encoder outputs shared by all decode steps."""
+    """Per-input encoder outputs shared by all decode steps: the slot
+    embeddings ``x_enc`` (S, d), the fused scene vector ``fused`` (d,)
+    and the flow graph, shared by every row of a batched state.
+
+    A pack of several graphs (``CaptionModel.pack``) has one graph per
+    row instead: ``x_enc`` (K, S, d), ``fused`` (K, d), ``flow`` a
+    (K, S, S) stack of transition matrices and ``mask`` (K, S), true on
+    each row's own slots.  S is the pack's most slots, and every slot
+    past a graph's own is zero.
+    """
 
     x_enc: Tensor
     fused: Tensor
-    flow: FlowGraph
+    flow: FlowGraph | np.ndarray
+    mask: np.ndarray | None = None
+
+    def rows(self, index: np.ndarray) -> Prepared:
+        """The rows ``index`` of a pack, in that order (a row may
+        repeat)."""
+        x_enc, fused = ad.tensor(self.x_enc.data[index]), ad.tensor(self.fused.data[index])
+        return Prepared(x_enc, fused, self.flow[index], self.mask[index])
 
 
 class CaptionModel:
@@ -98,6 +117,20 @@ class CaptionModel:
         )
         return Prepared(x_enc=x_enc, fused=fused, flow=flow)
 
+    def pack(self, graphs: list[Prepared]) -> Prepared:
+        """Prepared graphs as the rows of one pack, zero-padded to the
+        most slots of any of them."""
+        n_slots = max(p.flow.n_slots for p in graphs)
+        x = np.zeros((len(graphs), n_slots, self.config.dim))
+        flow = np.zeros((len(graphs), n_slots, n_slots))
+        mask = np.zeros((len(graphs), n_slots), dtype=bool)
+        for row, p in enumerate(graphs):
+            own = p.flow.n_slots
+            x[row, :own] = p.x_enc.data
+            flow[row, :own, :own] = p.flow.matrix
+            mask[row, :own] = True
+        return Prepared(ad.tensor(x), ad.tensor(np.stack([p.fused.data for p in graphs])), flow, mask)
+
     def initial_state(self, prepared: Prepared) -> DecoderState:
         return dec.init_state(prepared.x_enc, prepared.flow)
 
@@ -106,13 +139,14 @@ class CaptionModel:
         tensor, flow modes, fusion gate, sentinel); each of the last three
         is None when its component is switched off.  ``prev_id`` is an
         int for an unbatched state, or an int array of K ids for a state
-        whose fields carry a leading axis of K rows (see beam_search)."""
+        whose fields carry a leading axis of K rows (see beam_search);
+        with a pack's rows as ``prepared``, row k reads row k's graph."""
         p = self.decoder
         w_prev = ad.tslice(p.word_emb, prev_id)
         h_att, c_att = dec.attention_query_step(p, state, prepared.fused, w_prev)
 
         alpha_c = (
-            dec.content_attention(p, state.x_nodes, h_att)
+            dec.content_attention(p, state.x_nodes, h_att, prepared.mask)
             if self.config.use_content_attention
             else None
         )
@@ -167,14 +201,23 @@ class CaptionModel:
     # -- decoding -------------------------------------------------------------
 
     def decode(self, g: SceneGraph, feats: FeatureBundle, beam: int = 5, max_len: int = 20):
-        """Beam (or greedy, beam=1) decode: returns the best hypothesis
-        list from the search, tokens excluding the end token."""
-        return dec.beam_search(self, g, feats, beam=beam, max_len=max_len, eos_id=self.eos_id)
+        """Beam (or greedy, beam=1) decode, a pack of one request:
+        returns the hypothesis list from the search, best first."""
+        return dec.beam_search(self, [(g, feats, beam)], max_len=max_len, eos_id=self.eos_id)[0]
 
     def caption_tokens(self, g: SceneGraph, feats: FeatureBundle, beam: int = 5, max_len: int = 20) -> list[str]:
-        best = self.decode(g, feats, beam=beam, max_len=max_len)[0]
-        ids = [t for t in best.tokens if t != self.eos_id]
-        return self.vocab.decode(ids)
+        return self._words(self.decode(g, feats, beam=beam, max_len=max_len)[0])
+
+    def caption_pack(self, requests, max_len: int = 20) -> list[list[str]]:
+        """The best caption of each ``(graph, feats, width)`` request,
+        all decoded as one packed search; each is the caption that
+        ``caption_tokens`` gives the request alone."""
+        searched = dec.beam_search(self, requests, max_len=max_len, eos_id=self.eos_id)
+        return [self._words(hyps[0]) for hyps in searched]
+
+    def _words(self, hyp: dec.Hypothesis) -> list[str]:
+        """A hypothesis's words, end token excluded."""
+        return self.vocab.decode([t for t in hyp.tokens if t != self.eos_id])
 
 
 @lru_cache(maxsize=512)

@@ -331,13 +331,13 @@ def _lstm(rng, d=3, k=None):
     return lambda: dec.lstm_step(cell, x, h, c), [x, h, c, cell.w_ih, cell.w_hh, cell.bias]
 
 
-def _query(rng, d=3, k=None):
-    # the scene vector is shared by every row
+def _query(rng, d=3, k=None, scene_rows=None):
+    # the scene vector is shared by every row, or one per row in a pack
     p = dec.init_decoder_params(d, 5, rng)
     state = dec.init_state(ad.tensor(rng.normal(size=(5, d))), build_flow(chain_graph()))
     h_lang, h_att, c_att, w_prev = (ad.parameter(rng.normal(size=_rows(k) + (d,))) for _ in range(4))
     state = replace(state, h_lang=h_lang, h_att=h_att, c_att=c_att)
-    fused = ad.parameter(rng.normal(size=d))
+    fused = ad.parameter(rng.normal(size=_rows(scene_rows) + (d,)))
     return (
         lambda: dec.attention_query_step(p, state, fused, w_prev),
         [fused, w_prev, h_lang, h_att, c_att, p.att_cell.w_ih, p.att_cell.w_hh],
@@ -352,7 +352,7 @@ def _content(rng, d=3, k=None):
 
 def _flow(rng, d=3, fg=None, k=None, raw=None):
     p = dec.init_decoder_params(d, 5, rng)
-    fg = fg or build_flow(chain_graph())
+    fg = build_flow(chain_graph()) if fg is None else fg
     if raw is None:
         raw = rng.random(_rows(k) + (fg.n_slots,)) + 0.1
     alpha = ad.parameter(raw / raw.sum(axis=-1, keepdims=True))
@@ -447,6 +447,79 @@ def _mrgcn(rng, d=3):
     return lambda: (enc.mrgcn_layer(mrg, x, layer),), [x] + weights
 
 
+def _graph(roles, edges):
+    return SceneGraph(nodes=tuple(Node(id=i, role=r, region=i) for i, r in enumerate(roles)), edges=edges)
+
+
+def _pack_flows():
+    """The flow matrices of a pack of three graphs with 5, 3 and 2
+    slots, zero-padded to 5 slots, and the pack's slot mask."""
+    graphs = [chain_graph(), _graph([NodeRole.OBJECT, NodeRole.ATTRIBUTE], ((0, 1),)), _graph([NodeRole.OBJECT], ())]
+    m = np.zeros((3, 5, 5))
+    for r, fg in enumerate(build_flow(g) for g in graphs):
+        m[r, : fg.n_slots, : fg.n_slots] = fg.matrix
+    return m, np.arange(5) < np.array([5, 3, 2])[:, None]
+
+
+def _padded(mask, values):
+    """``values`` with the slots past each row's own set to zero."""
+    return values * mask[..., None] if values.ndim > mask.ndim else values * mask
+
+
+def _own_dist(rng, mask):
+    """One attention distribution per row over that row's own slots."""
+    raw = _padded(mask, rng.random(mask.shape) + 0.1)
+    return raw / raw.sum(axis=-1, keepdims=True)
+
+
+def _content_pack(rng, d=3):
+    p = dec.init_decoder_params(d, 5, rng)
+    _, mask = _pack_flows()
+    x, h = ad.parameter(_padded(mask, rng.normal(size=(3, 5, d)))), ad.parameter(rng.normal(size=(3, d)))
+    return lambda: (dec.content_attention(p, x, h, mask),), [x, h, p.content_wx, p.content_wh, p.content_score]
+
+
+def _flow_pack(rng):
+    m, mask = _pack_flows()
+    return _flow(rng, fg=m, k=3, raw=_own_dist(rng, mask))
+
+
+def _flow_pack_one_row_vanishes(rng):
+    # row 1 gets the one-edge matrix 0 -> 1 on its 3 slots and no mass
+    # on slot 0, so its 1-hop mass vanishes; alpha is left out of the
+    # check as in _flow_rows_vanish
+    m, mask = _pack_flows()
+    m[1] = 0.0
+    m[1, 1, 0] = 1.0
+    raw = _own_dist(rng, mask)
+    raw[1] = [0.0, 0.5, 0.5, 0.0, 0.0]
+    fn, params = _flow(rng, fg=m, k=3, raw=raw)
+    return fn, params[1:]
+
+
+def _fuse_pack(rng, d=3):
+    p = dec.init_decoder_params(d, 5, rng)
+    _, mask = _pack_flows()
+    ac, af = (ad.parameter(_own_dist(rng, mask)) for _ in range(2))
+    h, z = (ad.parameter(rng.normal(size=(3, d))) for _ in range(2))
+    x = ad.parameter(_padded(mask, rng.normal(size=(3, 5, d))))
+    return (
+        lambda: dec.fuse_and_context(p, ac, af, h, z, x),
+        [ac, af, h, z, x, p.fuse_wh, p.fuse_wz, p.fuse_gate],
+    )
+
+
+def _graph_update_pack(rng, d=3):
+    p = dec.init_decoder_params(d, 5, rng)
+    _, mask = _pack_flows()
+    x, h = ad.parameter(_padded(mask, rng.normal(size=(3, 5, d)))), ad.parameter(rng.normal(size=(3, d)))
+    alpha = ad.parameter(_own_dist(rng, mask))
+    return (
+        lambda: dec.graph_update(p, x, h, alpha),
+        [x, h, alpha, p.sentinel_w, p.sentinel_b, p.erase_w, p.erase_b, p.add_w, p.add_b],
+    )
+
+
 # name -> (maker of (forward, inputs to check), number of outputs)
 FUSED = {
     "lstm_cell": (_lstm, 2),
@@ -479,6 +552,20 @@ FUSED.update(
     {f"{name}_k3": (lambda rng, make=make: make(rng, k=3), FUSED[name][1]) for name, make in BATCHED.items()}
 )
 FUSED["flow_attention_k3_one_row_vanishes"] = (_flow_rows_vanish, 2)
+
+# a pack of three graphs of 5, 3 and 2 slots on K=3 rows: the masked
+# content attention, one scene vector and one flow matrix per row, and
+# padded slots in the fusion and the graph update
+FUSED.update(
+    {
+        "content_attention_pack": (_content_pack, 1),
+        "attention_query_pack": (lambda rng: _query(rng, k=3, scene_rows=3), 2),
+        "flow_attention_pack": (_flow_pack, 2),
+        "flow_attention_pack_one_row_vanishes": (_flow_pack_one_row_vanishes, 2),
+        "fuse_and_context_pack": (_fuse_pack, 3),
+        "graph_update_pack": (_graph_update_pack, 2),
+    }
+)
 
 # every output together, then each output of a multi-output primitive
 # alone (the others reach the backward pass with zero adjoints)
@@ -547,6 +634,26 @@ class TestBatchedRowsMatchUnbatched:
             row_wgrads = [a + b for a, b in zip(row_wgrads, r_wgrads)]
         for got, want in zip(wgrads, row_wgrads):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+
+
+class TestPackRowsMatchTheirOwnGraphs:
+    def test_attention_of_each_row(self):
+        # each row of a pack computes on its own slots what an unbatched
+        # call on its own graph computes, and exactly zero past them
+        rng = np.random.default_rng(3)
+        p = dec.init_decoder_params(3, 5, rng)
+        m, mask = _pack_flows()
+        x = _padded(mask, rng.normal(size=(3, 5, 3)))
+        alpha = _own_dist(rng, mask)
+        h, z = rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
+        content = dec.content_attention(p, ad.tensor(x), ad.tensor(h), mask).data
+        flow = dec.flow_attention(p, m, ad.tensor(alpha), ad.tensor(h), ad.tensor(z))[0].data
+        for r, n in enumerate([5, 3, 2]):
+            own_content = dec.content_attention(p, ad.tensor(x[r, :n]), ad.tensor(h[r])).data
+            own_flow = dec.flow_attention(p, m[r, :n, :n], ad.tensor(alpha[r, :n]), ad.tensor(h[r]), ad.tensor(z[r]))
+            for got, want in ((content[r], own_content), (flow[r], own_flow[0].data)):
+                np.testing.assert_allclose(got[:n], want, rtol=1e-12, atol=1e-15)
+                assert not got[n:].any()
 
 
 class TestModelGradCheckPerAblation:

@@ -321,7 +321,7 @@ class TestBeamSearch:
     def test_beam_one_equals_greedy(self):
         model, vocab = tiny_model(("aa", "bb", "cc"))
         g, feats = tiny_input()
-        hyps = beam_search(model, g, feats, beam=1, max_len=6, eos_id=model.eos_id)
+        hyps = beam_search(model, [(g, feats, 1)], max_len=6, eos_id=model.eos_id)[0]
         prepared = model.prepare(g, feats)
         state = model.initial_state(prepared)
         tokens = []
@@ -337,7 +337,7 @@ class TestBeamSearch:
     def test_sorted_non_increasing(self):
         model, _ = tiny_model(("aa", "bb", "cc"))
         g, feats = tiny_input(seed=3)
-        hyps = beam_search(model, g, feats, beam=4, max_len=5, eos_id=model.eos_id)
+        hyps = beam_search(model, [(g, feats, 4)], max_len=5, eos_id=model.eos_id)[0]
         scores = [h.score for h in hyps]
         assert scores == sorted(scores, reverse=True)
 
@@ -346,7 +346,7 @@ class TestBeamSearch:
         g, feats = tiny_input(seed=4)
         v = len(vocab)
         max_len = 2
-        hyps = beam_search(model, g, feats, beam=v * v, max_len=max_len, eos_id=model.eos_id)
+        hyps = beam_search(model, [(g, feats, v * v)], max_len=max_len, eos_id=model.eos_id)[0]
         want = enumerate_sequences(model, g, feats, max_len, model.eos_id)
         got = {tuple(h.tokens): h.score for h in hyps}
         assert len(got) == len(want)
@@ -365,7 +365,7 @@ class TestBeamSearch:
             return original(prepared, state, prev)
 
         model.step = counting
-        hyps = beam_search(model, g, feats, beam=5, max_len=4, eos_id=None)
+        hyps = beam_search(model, [(g, feats, 5)], max_len=4, eos_id=None)[0]
         assert len(hyps) == 5
         assert rows == [1, 5, 5, 5]
 
@@ -373,12 +373,12 @@ class TestBeamSearch:
         model, _ = tiny_model()
         g, feats = tiny_input()
         with pytest.raises(ShapeError):
-            beam_search(model, g, feats, beam=0, max_len=3)
+            beam_search(model, [(g, feats, 0)], max_len=3)[0]
 
     def test_hypothesis_state_isolation(self):
         model, _ = tiny_model(("aa", "bb", "cc"), seed=5)
         g, feats = tiny_input(seed=6)
-        hyps = beam_search(model, g, feats, beam=3, max_len=4, eos_id=None)
+        hyps = beam_search(model, [(g, feats, 3)], max_len=4, eos_id=None)[0]
         a, b = hyps[0], hyps[1]
         before = b.state.x_nodes.data.copy()
         a.state.x_nodes.data[:] = 1234.5
@@ -417,7 +417,25 @@ GRAPHS = [
 SWITCHES = [{}, {"use_flow_attention": False}, {"use_content_attention": False}, {"use_graph_update": False}]
 
 
+def random_request(model, graph, beam, seed):
+    g = make_graph(*graph)
+    rng = np.random.default_rng(seed)
+    dim = model.config.dim
+    feats = FeatureBundle(node_features=rng.normal(size=(g.n_nodes, dim)), scene_feature=rng.normal(size=dim))
+    return g, feats, beam
+
+
+def assert_same_hypotheses(got, want):
+    """``want`` is a list of (tokens, score) pairs, best first."""
+    assert [h.tokens for h in got] == [tokens for tokens, _ in want]
+    for h, (_, score) in zip(got, want):
+        assert abs(h.score - score) <= 1e-12 * max(1.0, abs(score))
+
+
 class TestPackedBeamSearchMatchesReference:
+    """One request, then packs of several graphs: each request gets what
+    its own search gives, whatever its companions."""
+
     @settings(max_examples=40, deadline=None)
     @given(
         seed=st.integers(0, 2**16),
@@ -436,11 +454,75 @@ class TestPackedBeamSearchMatchesReference:
         rng = np.random.default_rng(seed)
         feats = FeatureBundle(node_features=rng.normal(size=(g.n_nodes, dim)), scene_feature=rng.normal(size=dim))
         eos_id = model.eos_id if use_eos else None
-        got = beam_search(model, g, feats, beam=beam, max_len=max_len, eos_id=eos_id)
-        want = reference_beam_search(model, g, feats, beam, max_len, eos_id)
-        assert [h.tokens for h in got] == [tokens for tokens, _ in want]
-        for h, (_, score) in zip(got, want):
-            assert abs(h.score - score) <= 1e-12 * max(1.0, abs(score))
+        got = beam_search(model, [(g, feats, beam)], max_len=max_len, eos_id=eos_id)[0]
+        assert_same_hypotheses(got, reference_beam_search(model, g, feats, beam, max_len, eos_id))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        dim=st.integers(2, 5),
+        n_words=st.integers(1, 4),
+        requests=st.lists(st.tuples(st.sampled_from(GRAPHS), st.integers(1, 6)), min_size=1, max_size=4),
+        switches=st.sampled_from(SWITCHES),
+        max_len=st.integers(1, 5),
+        use_eos=st.booleans(),
+    )
+    def test_each_request_matches_its_own_search(self, seed, dim, n_words, requests, switches, max_len, use_eos):
+        vocab = Vocab.build([f"w{i}" for i in range(n_words)])
+        model = CaptionModel(ModelConfig(dim=dim, n_layers=1, **switches), vocab, seed=seed)
+        eos_id = model.eos_id if use_eos else None
+        reqs = [random_request(model, graph, beam, seed + k) for k, (graph, beam) in enumerate(requests)]
+        packed = beam_search(model, reqs, max_len=max_len, eos_id=eos_id)
+        assert len(packed) == len(reqs)
+        for (g, feats, beam), got in zip(reqs, packed):
+            assert_same_hypotheses(got, reference_beam_search(model, g, feats, beam, max_len, eos_id))
+            alone = beam_search(model, [(g, feats, beam)], max_len=max_len, eos_id=eos_id)[0]
+            assert_same_hypotheses(got, [(h.tokens, h.score) for h in alone])
+            for h in got:
+                assert h.state.x_nodes.data.shape == (g.n_nodes + 1, dim)
+                assert h.state.alpha.data.shape == (g.n_nodes + 1,)
+        states = [h.state for hyps in packed for h in hyps]
+        before = [st.x_nodes.data.copy() for st in states]
+        states[0].x_nodes.data[:] = 1234.5
+        for st, was in zip(states[1:], before[1:]):
+            np.testing.assert_array_equal(st.x_nodes.data, was)
+
+    def test_one_packed_step_per_search_step(self):
+        model, _ = tiny_model(("aa", "bb", "cc"), seed=2)
+        reqs = [random_request(model, graph, beam, k) for k, (graph, beam) in enumerate(zip(GRAPHS, (1, 3, 2, 4)))]
+        rows = []
+        original = model.step
+
+        def counting(prepared, state, prev):
+            rows.append(np.size(prev))
+            return original(prepared, state, prev)
+
+        model.step = counting
+        beam_search(model, reqs, max_len=4, eos_id=None)
+        assert rows == [4, 10, 10, 10]
+
+    def test_identical_requests_are_searched_once(self):
+        model, _ = tiny_model(("aa", "bb", "cc"), seed=3)
+        g, feats, _ = random_request(model, GRAPHS[2], 1, 4)
+        calls = {"prepare": 0, "rows": []}
+        prepare, step = model.prepare, model.step
+
+        def counting_prepare(*args):
+            calls["prepare"] += 1
+            return prepare(*args)
+
+        def counting_step(prepared, state, prev):
+            calls["rows"].append(np.size(prev))
+            return step(prepared, state, prev)
+
+        model.prepare, model.step = counting_prepare, counting_step
+        a, b, c = beam_search(model, [(g, feats, 1), (g, feats, 1), (g, feats, 2)], max_len=3, eos_id=None)
+        # one graph prepared once; the two width-1 requests take one row
+        assert calls == {"prepare": 1, "rows": [2, 3, 3]}
+        assert [(h.tokens, h.score) for h in a] == [(h.tokens, h.score) for h in b]
+        before = b[0].state.x_nodes.data.copy()
+        a[0].state.x_nodes.data[:] = 1234.5
+        np.testing.assert_array_equal(b[0].state.x_nodes.data, before)
 
 
 class TestStepInvariants:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphcap import graph as graph_module
 from graphcap.errors import InvalidGraphError, NoRelationshipsError, ShapeError
 from graphcap.graph import (
     FlowGraph,
@@ -21,6 +22,7 @@ from graphcap.graph import (
     build_multirel,
     flow_step,
     sample_subgraph,
+    subgraph_sampler,
     validate_asg,
 )
 
@@ -356,6 +358,23 @@ class TestSampleSubgraph:
     def test_no_relationships_error(self):
         with pytest.raises(NoRelationshipsError):
             sample_subgraph(make_graph([O, A], [(0, 1)]), np.random.default_rng(0))
+
+    def test_sampler_validates_once_and_draws_as_sample_subgraph(self, monkeypatch):
+        g = self.full_graph()
+        calls = []
+        monkeypatch.setattr(graph_module, "validate_asg", lambda h: calls.append(h) or validate_asg(h))
+        a, b = np.random.default_rng(5), np.random.default_rng(5)
+        draw = subgraph_sampler(g)
+        got = [draw(a) for _ in range(100)]
+        assert calls == [g]
+        assert got == [sample_subgraph(g, b) for _ in range(100)]
+        assert a.random() == b.random()
+
+    def test_sampler_rejects_what_sample_subgraph_rejects(self):
+        with pytest.raises(NoRelationshipsError):
+            subgraph_sampler(make_graph([O, A], [(0, 1)]))
+        with pytest.raises(InvalidGraphError):
+            subgraph_sampler(make_graph([O, O], [(0, 1)]))
 
     def test_triple_frequency_uniform(self):
         g = self.full_graph()

@@ -11,11 +11,19 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from graphcap import decoder, evaluation
 from graphcap.errors import ShapeError
-from graphcap.graph import asg_from_json, asg_to_json
+from graphcap.graph import asg_from_json, asg_to_json, sample_subgraph
 from graphcap.model import CaptionModel
 from graphcap.training import Checkpoint, Dataset, Instance, TrainConfig, train
-from graphcap.worldgen import WorldConfig, features_for, gen_dataset, scene_from_json, scene_to_json
+from graphcap.worldgen import (
+    WorldConfig,
+    features_for,
+    full_scene_graph,
+    gen_dataset,
+    scene_from_json,
+    scene_to_json,
+)
 
 
 def tiny_dataset(n=12, dim=12, seed=0):
@@ -131,6 +139,76 @@ class TestDiversityEvaluation:
         result = evaluate_diversity(ckpt, ds, scene_ids, samples=5, seed=0)
         for row in result.per_scene:
             assert len(row["captions"]) == 5
+
+
+    def test_each_scene_is_one_packed_search(self, monkeypatch):
+        ds = tiny_dataset(16)
+        ckpt, _ = train(tiny_config(epochs=8, lr=1e-2), ds)  # trained enough to end captions early
+        model = ckpt.model
+        counts = {"prepare": 0, "step": 0}
+
+        def counting(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(model, "prepare", counting("prepare", model.prepare))
+        monkeypatch.setattr(model, "step", counting("step", model.step))
+        searches = []  # (requests, prepare calls, step calls) of each search
+        original = decoder.beam_search
+
+        def recording(m, requests, max_len, eos_id=None):
+            counts.update(prepare=0, step=0)
+            out = original(m, requests, max_len, eos_id)
+            searches.append((list(requests), counts["prepare"], counts["step"]))
+            return out
+
+        monkeypatch.setattr(decoder, "beam_search", recording)
+        scene_ids = sorted({inst.scene_id for inst in ds.instances})
+        result = evaluation.evaluate_diversity(ckpt, ds, scene_ids, samples=5, seed=0)
+        assert len(searches) == len(result.per_scene) == len(scene_ids) == 4
+
+        max_len = ckpt.config.max_len
+        step_counts = set()
+        for row, (requests, prepares, steps) in zip(result.per_scene, searches):
+            # the sampled graphs at width 1, then the first graph at widths 1..5
+            assert [w for _, _, w in requests] == [1] * 5 + [1, 2, 3, 4, 5]
+            assert prepares == len({(id(g), id(f)) for g, f, _ in requests}) <= 5
+            solo_steps = []
+            for g, f, w in requests:
+                counts["step"] = 0
+                original(model, [(g, f, w)], max_len, model.eos_id)
+                solo_steps.append(counts["step"])
+            assert steps == max(solo_steps)
+            step_counts.update(solo_steps)
+            solo = [model.caption_tokens(g, f, beam=w, max_len=max_len) for g, f, w in requests]
+            assert row["captions"] + row["baseline_captions"] == solo
+        assert len(step_counts) > 1  # searches of a pack end at different steps
+
+    def test_distinct_subgraphs_draw_as_repeated_sample_subgraph(self):
+        def repeated(g_full, samples, rng, tries=200):
+            seen, attempts = {}, 0
+            while len(seen) < samples and attempts < tries:
+                sub = sample_subgraph(g_full, rng)
+                key = (tuple(n.role.value for n in sub.nodes), sub.edges, tuple(n.region for n in sub.nodes))
+                seen.setdefault(key, sub)
+                attempts += 1
+            out = list(seen.values())
+            while len(out) < samples:
+                out.append(sample_subgraph(g_full, rng))
+            return out[:samples]
+
+        ds = tiny_dataset(12)
+        for scene in ds.scenes:
+            g_full = full_scene_graph(scene)
+            if not g_full.relationship_triples():
+                continue
+            for samples in (1, 5, 40):
+                a, b = np.random.default_rng(scene.seed), np.random.default_rng(scene.seed)
+                assert evaluation._distinct_subgraphs(g_full, samples, a) == repeated(g_full, samples, b)
+                assert a.random() == b.random()
 
 
 class TestFullScaleConfig:
