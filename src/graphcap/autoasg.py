@@ -129,12 +129,6 @@ class RelClassifierParams:
     w2: Tensor  # (hidden, 3)
     b2: Tensor
 
-    def named(self, prefix: str = "relclf"):
-        yield f"{prefix}.w1", self.w1
-        yield f"{prefix}.b1", self.b1
-        yield f"{prefix}.w2", self.w2
-        yield f"{prefix}.b2", self.b2
-
     def params(self) -> list[Tensor]:
         return [self.w1, self.b1, self.w2, self.b2]
 
@@ -205,6 +199,9 @@ def train_relation_classifier(
     by_label = {0: [], 1: [], 2: []}
     for x, y in examples:
         by_label[y].append(x)
+    missing = [label for label, pool in by_label.items() if not pool]
+    if missing:
+        raise ShapeError(f"{n_scenes} training scenes give no pair examples of class {missing}")
     k = min(len(by_label[1]), len(by_label[2]), max(1, len(by_label[0]) // 2))
     batch_x, batch_y = [], []
     for label, quota in ((0, 2 * k), (1, k), (2, k)):

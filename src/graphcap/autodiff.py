@@ -30,6 +30,8 @@ Design points:
   reaches a tensor the tape produced is made dense at once.
 * :func:`mean_nll` is the training loss: the mean negative log of
   picked probabilities, one tape entry for a whole caption.
+* There is one sigmoid, ``0.5 + 0.5 * np.tanh(0.5 * x)``, so a run
+  computes the same bits whatever optional packages are installed.
 * Tensors are value-like.  A tape and the tensors flowing through it
   belong to one forward/backward pass; independent passes on disjoint
   data may run concurrently, because the active tape is held per thread
@@ -98,10 +100,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def zero_grad(self) -> None:
-        if self.grad is not None:
-            self.grad.fill(0.0)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -399,13 +397,9 @@ def tanh(a: Tensor) -> Tensor:
     return _emit("tanh", (a,), out, bwd)
 
 
-try:  # single C ufunc when scipy is around; the fallback is equally stable
-    from scipy.special import expit as _sigmoid_raw
-except ImportError:  # pragma: no cover
-
-    def _sigmoid_raw(x: np.ndarray) -> np.ndarray:
-        ex = np.exp(-np.abs(x))
-        return np.where(x >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
+def _sigmoid_raw(x: np.ndarray) -> np.ndarray:
+    """The package's one sigmoid, numpy-only and stable for any finite x."""
+    return 0.5 + 0.5 * np.tanh(0.5 * x)
 
 
 def sigmoid(a: Tensor) -> Tensor:

@@ -159,8 +159,8 @@ def init_decoder_params(dim: int, vocab_size: int, rng: np.random.Generator) -> 
 @dataclass
 class DecoderState:
     """Evolving per-step state.  Instances are never mutated; each step
-    returns a fresh state, which keeps beam hypotheses isolated.  A
-    packed state carries a leading axis of K rows on every tensor."""
+    returns a fresh state.  A packed state carries a leading axis of K
+    rows on every tensor."""
 
     x_nodes: Tensor  # (n_slots, d)
     h_att: Tensor
@@ -169,7 +169,6 @@ class DecoderState:
     c_lang: Tensor
     alpha: Tensor  # (n_slots,)
     z: Tensor  # (d,)
-    t: int
 
 
 def init_state(x_enc: Tensor, fg: FlowGraph | np.ndarray) -> DecoderState:
@@ -191,7 +190,6 @@ def init_state(x_enc: Tensor, fg: FlowGraph | np.ndarray) -> DecoderState:
         c_lang=ad.tensor(zeros),
         alpha=ad.tensor(alpha0),
         z=ad.tensor(zeros),
-        t=1,
     )
 
 
@@ -493,60 +491,49 @@ def graph_update(
 class Hypothesis:
     tokens: list[int]
     score: float
-    state: DecoderState | None  # set once the hypothesis leaves the search
     finished: bool
 
 
 @dataclass
 class _Search:
     """One distinct request of a pack: its width, its graph's row in
-    the pack and that graph's slot count, and its current beam."""
+    the pack, and its current beam."""
 
     width: int
     graph: int
-    n_slots: int
     beams: list[Hypothesis]
 
 
-_STATE_TENSORS = ("x_nodes", "h_att", "c_att", "h_lang", "c_lang", "alpha", "z")
-_SLOTTED = [f in ("x_nodes", "alpha") for f in _STATE_TENSORS]  # the fields with a slot axis
-
-
-def _take(state: DecoderState, rows, n_slots: int | None = None) -> DecoderState:
-    """A copy of some rows of a packed state (an unbatched state is one
-    row): an int gives that row as an unbatched state, an index array a
-    packed state of those rows.  ``n_slots`` cuts the slot axis back to
-    a graph's own slots."""
+def _take(state: DecoderState, rows: np.ndarray) -> DecoderState:
+    """The packed state of some rows of a state (an unbatched state is
+    one row)."""
     batched = state.alpha.data.ndim == 2
-    slots = rows if n_slots is None else (rows, slice(n_slots))
-    one = isinstance(rows, int)  # one row is a view to copy; an index array gathers a copy
     taken = []
-    for f, slotted in zip(_STATE_TENSORS, _SLOTTED):
-        d = getattr(state, f).data
-        d = (d if batched else d[None])[slots if slotted else rows]
-        taken.append(ad.tensor(np.array(d) if one else d))
-    return DecoderState(*taken, t=state.t)
+    for f in fields(DecoderState):
+        d = getattr(state, f.name).data
+        taken.append(ad.tensor((d if batched else d[None])[rows]))
+    return DecoderState(*taken)
 
 
 def beam_search(model, requests, max_len: int, eos_id: int | None = None) -> list[list[Hypothesis]]:
     """Standard beam expansion over the model's step distribution, for a
     pack of requests ``(graph, feats, width)`` searched together.
 
-    Each hypothesis has its own decoder state (the node embeddings
-    evolve per hypothesis).  The unfinished hypotheses of every request
-    are the rows of one packed state, advanced by one ``model.step`` call
-    per search step; finished ones are carried without stepping.  Each
-    distinct graph (the same graph and feature objects) is prepared
-    once.  A pack of one graph steps with its own prepared inputs (a
-    lone live row keeps the unbatched shapes, always so for one request
-    at width 1); a pack of several steps with the rows of
-    ``model.pack``, each row reading its own graph's scene vector, flow
-    matrix and slot mask.  Each request keeps its own top-``width``
-    bookkeeping, and identical requests are searched once.
+    Each unfinished hypothesis is one row of a packed decoder state (the
+    node embeddings evolve per hypothesis), and the rows of every
+    request advance by one ``model.step`` call per search step; finished
+    ones are carried without stepping.  Each distinct graph (the same
+    graph and feature objects) is prepared once.  A pack of one graph
+    steps with its own prepared inputs (a lone live row keeps the
+    unbatched shapes, always so for one request at width 1); a pack of
+    several steps with the rows of ``model.pack``, each row reading its
+    own graph's scene vector, flow matrix and slot mask.  Each request
+    keeps its own top-``width`` bookkeeping, and identical requests are
+    searched once.
 
-    Returns one list per request, sorted by total log-probability with
-    no length normalization, each hypothesis with a copy of its own
-    state cut back to its graph's slots.  ``model`` must provide
+    Returns one list of hypotheses (tokens and score) per request,
+    sorted by total log-probability with no length normalization;
+    identical requests share their hypotheses.  ``model`` must provide
     ``prepare``, ``pack``, ``initial_state`` and ``step`` (see
     CaptionModel).
     """
@@ -561,8 +548,7 @@ def beam_search(model, requests, max_len: int, eos_id: int | None = None) -> lis
             if graph is None:
                 graph = graph_of[key[:2]] = len(prepared)
                 prepared.append(model.prepare(g, feats))
-            root = Hypothesis([], 0.0, None, False)
-            search = search_of[key] = _Search(width, graph, prepared[graph].flow.n_slots, [root])
+            search = search_of[key] = _Search(width, graph, [Hypothesis([], 0.0, False)])
         order.append(search)
 
     one_graph = len(prepared) == 1
@@ -605,8 +591,7 @@ def beam_search(model, requests, max_len: int, eos_id: int | None = None) -> lis
                     s.beams.append(hyp)
                     continue
                 done = eos_id is not None and tok == eos_id
-                own = _take(stepped, r, s.n_slots) if done else None
-                s.beams.append(Hypothesis(hyp.tokens + [tok], score, own, done))
+                s.beams.append(Hypothesis(hyp.tokens + [tok], score, done))
                 if not done:
                     rows.append(r)
             if len(rows) > n_rows:
@@ -615,17 +600,4 @@ def beam_search(model, requests, max_len: int, eos_id: int | None = None) -> lis
             break
         live = still_live
         state = stepped if rows == list(range(len(prev))) else _take(stepped, np.array(rows))
-    row = 0
-    for s in live:
-        for hyp in s.beams:
-            if not hyp.finished:
-                hyp.state = _take(state, row, s.n_slots)
-                row += 1
-    out, seen = [], set()
-    for s in order:
-        if id(s) in seen:  # a repeated request gets copies, so that states stay isolated
-            out.append([Hypothesis(list(h.tokens), h.score, _take(h.state, 0), h.finished) for h in s.beams])
-        else:
-            out.append(s.beams)
-        seen.add(id(s))
-    return out
+    return [list(s.beams) for s in order]

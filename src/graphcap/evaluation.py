@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NoRelationshipsError
+from .errors import NoRelationshipsError, ShapeError
 from .graph import SceneGraph, subgraph_sampler, validate_asg
 from .metrics import (
     MetricReport,
@@ -179,6 +179,8 @@ def evaluate_diversity(
     (defaults to the scene's true graph; pass an automatic pipeline to
     exercise generated graphs).
     """
+    if samples < 1:
+        raise ShapeError(f"samples must be >= 1, got {samples}")
     rng = np.random.default_rng(seed)
     model = ckpt.model
     per_scene = []

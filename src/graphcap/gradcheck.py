@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from typing import Callable, Sequence
 
-import numpy as np
-
 from . import autodiff as ad
 from .errors import NumericError, ShapeError
 
@@ -41,7 +39,7 @@ def grad_check(
     if loss.data.size != 1:
         raise ShapeError("grad_check target must be scalar")
     ad.backward(tape, loss)
-    analytic = [p.grad.copy() if p.grad is not None else np.zeros_like(p.data) for p in params]
+    analytic = [p.grad.copy() for p in params]
 
     worst = 0.0
     for p, ga in zip(params, analytic):

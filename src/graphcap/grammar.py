@@ -54,10 +54,6 @@ class Vocab:
         return cls(tokens=tokens, index={t: i for i, t in enumerate(tokens)})
 
     @property
-    def pad_id(self) -> int:
-        return 0
-
-    @property
     def bos_id(self) -> int:
         return 1
 

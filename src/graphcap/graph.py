@@ -86,9 +86,6 @@ class SceneGraph:
     def n_nodes(self) -> int:
         return len(self.nodes)
 
-    def role_of(self, nid: int) -> NodeRole:
-        return self.nodes[nid].role
-
     def nodes_with_role(self, role: NodeRole) -> list[int]:
         return [n.id for n in self.nodes if n.role is role]
 

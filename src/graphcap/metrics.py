@@ -212,20 +212,11 @@ def _tfidf_vec(tokens: list[str], df, n_docs: int, n: int) -> dict:
 
 
 def _cosine(a: dict, b: dict) -> float | None:
-    """Cosine of sparse vectors; None signals zero norm (degenerate idf)."""
+    """Cosine of sparse vectors; None signals a zero norm."""
     na = math.sqrt(sum(v * v for v in a.values()))
     nb = math.sqrt(sum(v * v for v in b.values()))
     if na == 0.0 or nb == 0.0:
         return None
-    dot = sum(v * b[g] for g, v in a.items() if g in b)
-    return dot / (na * nb)
-
-
-def _count_cosine(a: Counter, b: Counter) -> float:
-    na = math.sqrt(sum(v * v for v in a.values()))
-    nb = math.sqrt(sum(v * v for v in b.values()))
-    if na == 0.0 or nb == 0.0:
-        return 0.0
     dot = sum(v * b[g] for g, v in a.items() if g in b)
     return dot / (na * nb)
 
@@ -236,7 +227,8 @@ def cider_pair(gen: list[str], ref: list[str], df, n_docs: int) -> float:
 
     When the idf weights zero out a level entirely (every n-gram occurs
     in every document, e.g. a singleton corpus), the cosine falls back
-    to raw counts so identical captions still score maximally.
+    to raw counts so identical captions still score maximally (and to 0
+    when a caption has no n-gram of that level).
     """
     penalty = math.exp(-((len(gen) - len(ref)) ** 2) / (2 * _SIGMA_LEN**2))
     total = 0.0
@@ -245,7 +237,7 @@ def cider_pair(gen: list[str], ref: list[str], df, n_docs: int) -> float:
         vr = _tfidf_vec(ref, df, n_docs, n)
         cos = _cosine(vg, vr)
         if cos is None:
-            cos = _count_cosine(_ngrams(gen, n), _ngrams(ref, n))
+            cos = _cosine(_ngrams(gen, n), _ngrams(ref, n)) or 0.0
         total += cos
     return 10.0 * (total / 4.0) * penalty
 

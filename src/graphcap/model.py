@@ -171,7 +171,6 @@ class CaptionModel:
             c_lang=c_lang,
             alpha=alpha,
             z=context,
-            t=state.t + 1,
         )
         return new_state, probs, modes, beta, sentinel
 

@@ -184,7 +184,7 @@ def train(
                 epoch_nats += value * n_tok
                 epoch_tokens += n_tok
             scale = 1.0 / len(batch)
-            grads = [p.grad * scale if p.grad is not None else np.zeros_like(p.data) for p in params]
+            grads = [p.grad * scale for p in params]
             adam_step(opt, params, grads)
         curve.append(epoch_nats / max(1, epoch_tokens))
         if log:

@@ -4,9 +4,12 @@ models under each ablation switch), the deferred factor-form and
 row-scatter adjoints, tape isolation across threads, and the Adam
 update."""
 
+import os
+import subprocess
 import sys
 import threading
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,6 +50,11 @@ class TestForwardValues:
     def test_relu(self):
         out = ad.relu(ad.tensor([-1.0, 2.0]))
         np.testing.assert_array_equal(out.data, [0.0, 2.0])
+
+    def test_sigmoid_values(self):
+        x = np.array([-30.0, -3.0, -1e-9, 1e-9, 3.0, 30.0])
+        np.testing.assert_allclose(ad.sigmoid(ad.tensor(x)).data, 1.0 / (1.0 + np.exp(-x)), rtol=0, atol=2.3e-16)
+        np.testing.assert_array_equal(ad.sigmoid(ad.tensor([-800.0, 0.0, 800.0])).data, [0.0, 0.5, 1.0])
 
     def test_matmul_ones(self):
         out = ad.matmul(ad.tensor(np.ones((2, 3))), ad.tensor(np.ones((3, 1))))
@@ -114,7 +122,7 @@ class TestBackward:
                 loss = ad.tsum(ad.mul(x, x))
             ad.backward(tape, loss)
         np.testing.assert_allclose(x.grad, [8.0])
-        x.zero_grad()
+        ad.zero_grads([x])
         with ad.record() as tape:
             loss = ad.tsum(ad.mul(x, x))
         ad.backward(tape, loss)
@@ -670,6 +678,55 @@ class TestModelGradCheckPerAblation:
         g = chain_graph()
         err = grad_check(lambda: model.loss(g, feats, [4, 5, 4])[0], model.parameters(), eps=1e-6)
         assert err < 1e-6, f"{switch} off: {err}"
+
+
+# The tier-1 instance of test_01_gradient_fidelity; prints its loss and
+# the sha256 of its full gradient.  Argument "hide" makes scipy
+# unimportable first.
+_TIER1_GRADIENT = """
+import hashlib, sys
+if sys.argv[1] == "hide":
+    sys.modules["scipy"] = None
+import numpy as np
+from graphcap import autodiff as ad
+from graphcap.graph import sample_subgraph
+from graphcap.model import CaptionModel, ModelConfig
+from graphcap.worldgen import WorldConfig, full_scene_graph, gen_scene, make_triplet
+
+world = WorldConfig(dim=16, n_object_classes=2, n_attr_classes=2, n_rel_classes=2)
+rng = np.random.default_rng(1)
+scene = gen_scene(world, rng)
+full = full_scene_graph(scene)
+sub = next(g for g in (sample_subgraph(full, rng) for _ in range(1000)) if g.n_nodes == 5)
+feats, graph, caption = make_triplet(scene, sub, world)
+vocab = world.grammar().build_vocab()
+ids = (vocab.encode(caption) + [vocab.unk_id] * 6)[:6]
+model = CaptionModel(ModelConfig(dim=16, n_layers=2), vocab, seed=1)
+params = model.parameters()
+ad.zero_grads(params)
+with ad.record() as tape:
+    loss = model.loss(graph, feats, ids)[0]
+ad.backward(tape, loss)
+digest = hashlib.sha256()
+for p in params:
+    digest.update(p.grad.tobytes())
+print(repr(loss.item()), digest.hexdigest())
+"""
+
+
+class TestOneSigmoid:
+    def test_gradient_does_not_depend_on_scipy(self):
+        src = str(Path(ad.__file__).resolve().parents[1])
+
+        def run(mode):
+            out = subprocess.run(
+                [sys.executable, "-c", _TIER1_GRADIENT, mode],
+                capture_output=True, text=True, timeout=300, env={**os.environ, "PYTHONPATH": src},
+            )
+            assert out.returncode == 0, out.stderr
+            return out.stdout
+
+        assert run("hide") == run("keep")
 
 
 class TestGradCheckContract:

@@ -187,6 +187,24 @@ class TestDiversityEvaluation:
             assert row["captions"] + row["baseline_captions"] == solo
         assert len(step_counts) > 1  # searches of a pack end at different steps
 
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_no_samples_exits_2(self, saved, tmp_path, capsys, samples):
+        from graphcap.cli import main
+
+        with pytest.raises(ShapeError):
+            evaluation.evaluate_diversity(Checkpoint.load(saved / "ckpt"), tiny_dataset(6), [0], samples=samples)
+        data = tmp_path / "data"
+        assert main(["gen-data", "--config", str(saved / "world.json"), "--out", str(data), "--count", "4"]) == 0
+        capsys.readouterr()
+        report = tmp_path / "r.json"
+        code = main([
+            "eval-diversity", "--ckpt", str(saved / "ckpt"), "--data", str(data),
+            "--samples", str(samples), "--report", str(report),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not report.exists()
+
     def test_distinct_subgraphs_draw_as_repeated_sample_subgraph(self):
         def repeated(g_full, samples, rng, tries=200):
             seen, attempts = {}, 0

@@ -78,6 +78,14 @@ class TestEachLoader:
     def test_unreadable_scene_path_exits_2(self, tmp_path, capsys):
         _exits_2(["sample-asg", "--scene", tmp_path], capsys)  # a directory
 
+    @pytest.mark.parametrize("clf_scenes", [0, 1])
+    def test_classifier_without_examples_of_a_class_exits_2(self, data_dir, tmp_path, capsys, clf_scenes):
+        (tmp_path / "scene.json").write_text(_lines(data_dir / "scenes.jsonl")[0])
+        _exits_2([
+            "sample-asg", "--scene", tmp_path / "scene.json", "--mode", "auto",
+            "--world", data_dir / "world.json", "--clf-scenes", clf_scenes,
+        ], capsys)
+
     @pytest.mark.parametrize("key", ["nodes", "edges"])
     def test_asg_missing_key(self, key):
         obj = {"nodes": [{"id": 0, "role": "object", "region": 0}], "edges": []}
