@@ -22,12 +22,13 @@ Design points:
   (``np.outer(x, g)`` for 1-D factors; the leading axes of factors
   with more than two are flattened into rows), or :class:`Rows` (an adjoint
   that is zero outside the rows of one index).  :func:`backward`
-  stacks the factor rows each leaf receives over the whole pass and
-  adds one ``X.T @ G`` product, the sum of its dense adjoints and its
-  row scatters into the leaf's ``grad`` once, when the pass ends (the
+  collects the adjoints of every tensor the same way: it stacks the
+  factor rows the tensor receives and adds one ``X.T @ G`` product,
+  the sum of its dense adjoints and its row scatters once (the
   per-step weight GEMMs batched across time, as Appleyard et al.,
-  arXiv 1604.01946, do for the forward).  A deferred adjoint that
-  reaches a tensor the tape produced is made dense at once.
+  arXiv 1604.01946, do for the forward).  A leaf's sum goes into its
+  ``grad`` when the pass ends; a tensor the tape made is resolved when
+  the walk reaches its producer.
 * :func:`mean_nll` is the training loss: the mean negative log of
   picked probabilities, one tape entry for a whole caption.
 * There is one sigmoid, ``0.5 + 0.5 * np.tanh(0.5 * x)``, so a run
@@ -174,19 +175,6 @@ def _fresh(data: np.ndarray, requires_grad: bool) -> Tensor:
     return out
 
 
-def _emit(opname, inputs, out_data, bwd) -> Tensor:
-    # div and log are the ops that create non-finite values from sane
-    # finite inputs, so they are always scanned; the bounded and
-    # value-preserving primitives skip the scan, and overflow of the
-    # remaining ops (possible only near 1e308) surfaces at the loss
-    if opname in _CHECKED_OPS:
-        _finite_or_raise(out_data, opname)
-    return primitive(inputs, out_data, bwd)
-
-
-_CHECKED_OPS = frozenset({"div", "log"})
-
-
 def primitive(inputs: Sequence[Tensor], outputs, bwd):
     """Record one primitive computed by the caller.
 
@@ -246,41 +234,29 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """``a @ b`` for a 1-D or 2-D ``a`` and a 2-D ``b``."""
     ad, bd = a.data, b.data
-    if ad.ndim not in (1, 2) or bd.ndim not in (1, 2):
-        raise ShapeError(f"matmul needs 1D/2D operands, got {ad.shape} @ {bd.shape}")
+    if ad.ndim not in (1, 2) or bd.ndim != 2:
+        raise ShapeError(f"matmul needs a 1D/2D operand at a 2D one, got {ad.shape} @ {bd.shape}")
     if ad.shape[-1] != bd.shape[0]:
         raise ShapeError(f"matmul inner dims differ: {ad.shape} @ {bd.shape}")
 
     def bwd(g):
         ga = gb = None
         if a.requires_grad:
-            if bd.ndim == 1 and ad.ndim == 1:
-                ga = g * b.data
-            elif ad.ndim == 2 and bd.ndim == 2:
-                ga = g @ b.data.T
-            elif ad.ndim == 1:  # 1D @ 2D
-                ga = b.data @ g
-            else:  # 2D @ 1D
-                ga = np.outer(g, b.data)
-        if b.requires_grad:
-            if bd.ndim == 1 and ad.ndim == 1:
-                gb = g * a.data
-            elif bd.ndim == 2:  # a.T @ g, deferred
-                gb = (a.data, g)
-            else:  # 2D @ 1D
-                gb = a.data.T @ g
+            ga = g @ bd.T if ad.ndim == 2 else bd @ g
+        if b.requires_grad:  # a.T @ g, deferred
+            gb = (ad, g)
         return ga, gb
 
-    return _emit("matmul", (a, b), ad @ bd, bwd)
+    return primitive((a, b), ad @ bd, bwd)
 
 
-def _ewise(opname, a, b, fn, bwd_fn):
+def _ewise(opname, a, b, fn) -> np.ndarray:
     try:
-        out = fn(a.data, b.data)
+        return fn(a.data, b.data)
     except ValueError as exc:
         raise ShapeError(f"{opname}: {exc}") from exc
-    return _emit(opname, (a, b), out, bwd_fn)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -290,7 +266,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
             _unbroadcast(g, b.data.shape) if b.requires_grad else None,
         )
 
-    return _ewise("add", a, b, np.add, bwd)
+    return primitive((a, b), _ewise("add", a, b, np.add), bwd)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -300,7 +276,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
             _unbroadcast(-g, b.data.shape) if b.requires_grad else None,
         )
 
-    return _ewise("sub", a, b, np.subtract, bwd)
+    return primitive((a, b), _ewise("sub", a, b, np.subtract), bwd)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -310,7 +286,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
             _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None,
         )
 
-    return _ewise("mul", a, b, np.multiply, bwd)
+    return primitive((a, b), _ewise("mul", a, b, np.multiply), bwd)
 
 
 def _div_raw(x, y):
@@ -327,7 +303,9 @@ def div(a: Tensor, b: Tensor) -> Tensor:
             else None,
         )
 
-    return _ewise("div", a, b, _div_raw, bwd)
+    out = _ewise("div", a, b, _div_raw)
+    _finite_or_raise(out, "div")
+    return primitive((a, b), out, bwd)
 
 
 def smul(a: Tensor, c: float) -> Tensor:
@@ -336,7 +314,7 @@ def smul(a: Tensor, c: float) -> Tensor:
     def bwd(g):
         return (g * c,)
 
-    return _emit("smul", (a,), a.data * c, bwd)
+    return primitive((a,), a.data * c, bwd)
 
 
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -360,7 +338,7 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
                 gs.append(None)
         return tuple(gs)
 
-    return _emit("concat", tuple(parts), out, bwd)
+    return primitive(tuple(parts), out, bwd)
 
 
 def tslice(a: Tensor, key) -> Tensor:
@@ -370,7 +348,7 @@ def tslice(a: Tensor, key) -> Tensor:
     def bwd(g):
         return (Rows(key, g),)
 
-    return _emit("slice", (a,), np.ascontiguousarray(a.data[key]), bwd)
+    return primitive((a,), np.ascontiguousarray(a.data[key]), bwd)
 
 
 def lookup(table: Tensor, indices) -> Tensor:
@@ -385,7 +363,7 @@ def lookup(table: Tensor, indices) -> Tensor:
         np.add.at(gt, idx, g)
         return (gt,)
 
-    return _emit("lookup", (table,), table.data[idx], bwd)
+    return primitive((table,), table.data[idx], bwd)
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -394,7 +372,7 @@ def tanh(a: Tensor) -> Tensor:
     def bwd(g):
         return (g * (1.0 - out * out),)
 
-    return _emit("tanh", (a,), out, bwd)
+    return primitive((a,), out, bwd)
 
 
 def _sigmoid_raw(x: np.ndarray) -> np.ndarray:
@@ -408,7 +386,7 @@ def sigmoid(a: Tensor) -> Tensor:
     def bwd(g):
         return (g * out * (1.0 - out),)
 
-    return _emit("sigmoid", (a,), out, bwd)
+    return primitive((a,), out, bwd)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -417,7 +395,7 @@ def relu(a: Tensor) -> Tensor:
     def bwd(g):
         return (g * (a.data > 0),)
 
-    return _emit("relu", (a,), out, bwd)
+    return primitive((a,), out, bwd)
 
 
 def _softmax_raw(x: np.ndarray) -> np.ndarray:
@@ -434,7 +412,7 @@ def softmax(a: Tensor) -> Tensor:
         dot = (g * out).sum(axis=-1, keepdims=True)
         return (out * (g - dot),)
 
-    return _emit("softmax", (a,), out, bwd)
+    return primitive((a,), out, bwd)
 
 
 def log(a: Tensor) -> Tensor:
@@ -443,11 +421,12 @@ def log(a: Tensor) -> Tensor:
             out = np.log(a.data)
         except FloatingPointError as exc:
             raise NumericError(f"log of non-positive value: {exc}") from exc
+    _finite_or_raise(out, "log")
 
     def bwd(g):
         return (g / a.data,)
 
-    return _emit("log", (a,), out, bwd)
+    return primitive((a,), out, bwd)
 
 
 def tsum(a: Tensor, axis: int | None = None) -> Tensor:
@@ -458,7 +437,7 @@ def tsum(a: Tensor, axis: int | None = None) -> Tensor:
             return (np.broadcast_to(g, a.data.shape).copy(),)
         return (np.broadcast_to(np.expand_dims(g, axis), a.data.shape).copy(),)
 
-    return _emit("sum", (a,), np.asarray(out), bwd)
+    return primitive((a,), np.asarray(out), bwd)
 
 
 def tmean(a: Tensor, axis: int | None = None) -> Tensor:
@@ -470,14 +449,14 @@ def tmean(a: Tensor, axis: int | None = None) -> Tensor:
             return (np.broadcast_to(g / n, a.data.shape).copy(),)
         return (np.broadcast_to(np.expand_dims(g, axis) / n, a.data.shape).copy(),)
 
-    return _emit("mean", (a,), np.asarray(out), bwd)
+    return primitive((a,), np.asarray(out), bwd)
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     def bwd(g):
         return (g.reshape(a.data.shape),)
 
-    return _emit("reshape", (a,), a.data.reshape(shape).copy(), bwd)
+    return primitive((a,), a.data.reshape(shape).copy(), bwd)
 
 
 def mean_nll(probs: Sequence[Tensor], targets: Sequence) -> Tensor:
@@ -531,67 +510,57 @@ def backward(tape: Tape, loss: Tensor) -> None:
     """
     if loss.data.size != 1:
         raise ShapeError(f"loss must be scalar, got shape {loss.data.shape}")
-    produced = set()
-    for e in tape.entries:
-        if type(e.out) is tuple:
-            produced.update(id(o) for o in e.out)
-        else:
-            produced.add(id(e.out))
-    if id(loss) not in produced and not loss.requires_grad:
+    if not loss.requires_grad:
         raise ShapeError("loss is not reachable from the recorded tape")
-
-    adjoint: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    # leaf id -> [tensor, dense sum or None, factor xs, factor gs, Rows]
-    leaves: dict[int, list] = {}
+    # tensor id -> [tensor, dense sum or None, factor xs, factor gs, Rows]
+    acc: dict[int, list] = {id(loss): [loss, np.ones_like(loss.data), [], [], []]}
 
     for entry in reversed(tape.entries):
         out = entry.out
-        if type(out) is tuple:
-            gs = [adjoint.pop(id(o), None) for o in out]
-            if all(g is None for g in gs):
-                continue
-            grads = entry.bwd(
-                *(np.zeros_like(o.data) if g is None else g for o, g in zip(out, gs))
-            )
-        else:
-            g = adjoint.pop(id(out), None)
-            if g is None:
-                continue
-            grads = entry.bwd(g)
+        outs = out if type(out) is tuple else (out,)
+        pending = [acc.pop(id(o), None) for o in outs]
+        if not any(pending):
+            continue
+        grads = entry.bwd(
+            *[np.zeros_like(o.data) if a is None else _resolve(a) for o, a in zip(outs, pending)]
+        )
         for t, gt in zip(entry.inputs, grads):
             if gt is None or not t.requires_grad:
                 continue
-            tid = id(t)
+            a = acc.get(id(t))
+            if a is None:
+                a = acc[id(t)] = [t, None, [], [], []]
             kind = type(gt)
-            if tid in produced:
-                if kind is tuple or kind is Rows:
-                    gt = _dense(gt, t.data)
-                if tid in adjoint:
-                    adjoint[tid] = adjoint[tid] + gt
-                else:
-                    adjoint[tid] = gt
-                continue
-            acc = leaves.get(tid)
-            if acc is None:
-                acc = leaves[tid] = [t, None, [], [], []]
             if kind is tuple:
-                acc[2].append(gt[0])
-                acc[3].append(gt[1])
+                a[2].append(gt[0])
+                a[3].append(gt[1])
             elif kind is Rows:
-                acc[4].append(gt)
+                a[4].append(gt)
             else:
-                acc[1] = gt if acc[1] is None else acc[1] + gt
+                a[1] = gt if a[1] is None else a[1] + gt
 
-    for t, dense, xs, gs, rows in leaves.values():
+    for a in acc.values():  # what is left belongs to leaves
+        t = a[0]
         if t.grad is None:
             t.grad = np.zeros_like(t.data)
-        grad = t.grad
-        if dense is not None:
-            grad += dense
-        if xs:
-            grad += _factor_product(xs, gs).reshape(grad.shape)
-        for r in rows:
-            np.add.at(grad, r.key, r.g)
+        _resolve(a, t.grad)
+
+
+def _resolve(a: list, into: np.ndarray | None = None) -> np.ndarray:
+    """An accumulator as one array: added to ``into`` when given, else
+    its dense sum as-is when nothing was deferred."""
+    t, dense, xs, gs, rows = a
+    if into is None:
+        if not xs and not rows:
+            return dense
+        into = np.zeros_like(t.data)
+    if dense is not None:
+        into += dense
+    if xs:
+        into += _factor_product(xs, gs).reshape(into.shape)
+    for r in rows:
+        np.add.at(into, r.key, r.g)
+    return into
 
 
 def _factor_product(xs: list, gs: list) -> np.ndarray:
@@ -609,15 +578,6 @@ def _stack_rows(arrs: list) -> np.ndarray:
     """Stack 1-D rows and blocks of rows into one 2-D array; a block's
     leading axes (batch rows, slots) are flattened into rows."""
     return np.concatenate([a if a.ndim == 2 else a.reshape(-1, a.shape[-1]) for a in arrs])
-
-
-def _dense(gt, like: np.ndarray) -> np.ndarray:
-    """A deferred adjoint (factor pair or Rows) as a dense array."""
-    if type(gt) is Rows:
-        out = np.zeros_like(like)
-        np.add.at(out, gt.key, gt.g)
-        return out
-    return _factor_product([gt[0]], [gt[1]]).reshape(like.shape)
 
 
 def zero_grads(params: Iterable[Tensor]) -> None:

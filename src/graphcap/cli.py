@@ -188,6 +188,8 @@ def cmd_eval_diversity(args) -> int:
     ckpt = Checkpoint.load(args.ckpt)
     dataset = _load_dataset(args.data)
     _checked_world(ckpt, dataset.world, args.data)
+    if args.scenes < 1:
+        raise ShapeError(f"--scenes must be >= 1, got {args.scenes}")
     scene_ids = sorted({inst.scene_id for inst in dataset.instances})[: args.scenes]
     result = evaluate_diversity(ckpt, dataset, scene_ids, samples=args.samples, seed=args.seed)
     result.save(args.report)
@@ -224,6 +226,7 @@ def cmd_sample_asg(args) -> int:
 def cmd_gradcheck(args) -> int:
     from .worldgen import gen_scene
 
+    model_cfg = ModelConfig(dim=args.dim)  # a bad --dim exits 2 here
     world = WorldConfig(
         dim=args.dim, n_object_classes=2, n_attr_classes=2, n_rel_classes=2
     )
@@ -233,7 +236,7 @@ def cmd_gradcheck(args) -> int:
     sub = sample_subgraph(g_full, rng)
     feats, graph, caption = make_triplet(scene, sub, world)
     vocab = world.grammar().build_vocab()
-    model = CaptionModel(ModelConfig(dim=args.dim), vocab, seed=args.seed)
+    model = CaptionModel(model_cfg, vocab, seed=args.seed)
     ids = vocab.encode(caption)
     params = model.parameters()
     err = grad_check(lambda: model.loss(graph, feats, ids)[0], params, eps=args.eps)

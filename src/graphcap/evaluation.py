@@ -181,6 +181,8 @@ def evaluate_diversity(
     """
     if samples < 1:
         raise ShapeError(f"samples must be >= 1, got {samples}")
+    if not scene_ids:
+        raise ShapeError("no scenes to evaluate")
     rng = np.random.default_rng(seed)
     model = ckpt.model
     per_scene = []

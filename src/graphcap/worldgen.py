@@ -68,6 +68,11 @@ class WorldConfig:
             raise ValueError("noise scale must be >= 0")
         if not (1 <= self.min_objects <= self.max_objects):
             raise ValueError("bad object-count range")
+        if not 0 <= self.max_attrs_per_object <= 3:
+            raise ValueError("max_attrs_per_object must be in 0..3")
+        if self.dim < 1 or self.prototype_seed < 0:
+            raise ValueError("dim must be >= 1 and prototype_seed >= 0")
+        self.grammar()  # the word lists bound the class counts
 
     def grammar(self) -> Grammar:
         return Grammar(self.n_object_classes, self.n_attr_classes, self.n_rel_classes)

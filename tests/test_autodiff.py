@@ -70,6 +70,9 @@ class TestForwardValues:
     def test_shape_mismatch_raises(self):
         with pytest.raises(ShapeError):
             ad.matmul(ad.tensor(np.ones((2, 3))), ad.tensor(np.ones((2, 3))))
+        for a in (np.ones(3), np.ones((2, 3))):  # a 1-D right operand
+            with pytest.raises(ShapeError):
+                ad.matmul(ad.tensor(a), ad.tensor(np.ones(3)))
         with pytest.raises(ShapeError):
             ad.add(ad.tensor(np.ones(3)), ad.tensor(np.ones(4)))
 
@@ -105,7 +108,7 @@ class TestBackward:
         rng = np.random.default_rng(7)
         w1 = ad.parameter(rng.normal(size=(4, 5)))
         w2 = ad.parameter(rng.normal(size=(5, 3)))
-        w3 = ad.parameter(rng.normal(size=(3,)))
+        w3 = ad.parameter(rng.normal(size=(3, 1)))
         x = ad.tensor(rng.normal(size=(2, 4)))
 
         def f():
@@ -134,6 +137,22 @@ class TestBackward:
             y = ad.mul(x, x)
         with pytest.raises(ShapeError):
             ad.backward(tape, y)
+
+    def test_loss_computed_outside_any_tape_raises(self):
+        x = ad.parameter([1.0, 2.0])
+        loss = ad.tsum(ad.mul(x, x))
+        with ad.record() as tape:
+            ad.tsum(ad.mul(x, x))
+        with pytest.raises(ShapeError):
+            ad.backward(tape, loss)
+        assert x.grad is None
+
+    def test_leaf_passed_as_the_loss_gets_a_gradient_of_ones(self):
+        x = ad.parameter([3.0])
+        with ad.record() as tape:
+            ad.tsum(ad.mul(x, x))
+        ad.backward(tape, x)
+        np.testing.assert_array_equal(x.grad, [1.0])
 
     def test_unreachable_parameter_reported(self):
         x = ad.parameter([1.0])

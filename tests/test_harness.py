@@ -187,23 +187,31 @@ class TestDiversityEvaluation:
             assert row["captions"] + row["baseline_captions"] == solo
         assert len(step_counts) > 1  # searches of a pack end at different steps
 
-    @pytest.mark.parametrize("samples", [0, -1])
-    def test_no_samples_exits_2(self, saved, tmp_path, capsys, samples):
+    def eval_diversity_exits_2(self, saved, tmp_path, capsys, *flags):
         from graphcap.cli import main
 
-        with pytest.raises(ShapeError):
-            evaluation.evaluate_diversity(Checkpoint.load(saved / "ckpt"), tiny_dataset(6), [0], samples=samples)
         data = tmp_path / "data"
         assert main(["gen-data", "--config", str(saved / "world.json"), "--out", str(data), "--count", "4"]) == 0
         capsys.readouterr()
         report = tmp_path / "r.json"
         code = main([
-            "eval-diversity", "--ckpt", str(saved / "ckpt"), "--data", str(data),
-            "--samples", str(samples), "--report", str(report),
+            "eval-diversity", "--ckpt", str(saved / "ckpt"), "--data", str(data), *flags, "--report", str(report),
         ])
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
         assert not report.exists()
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_no_samples_exits_2(self, saved, tmp_path, capsys, samples):
+        with pytest.raises(ShapeError):
+            evaluation.evaluate_diversity(Checkpoint.load(saved / "ckpt"), tiny_dataset(6), [0], samples=samples)
+        self.eval_diversity_exits_2(saved, tmp_path, capsys, "--samples", str(samples))
+
+    @pytest.mark.parametrize("scenes", [0, -1])
+    def test_no_scenes_exits_2(self, saved, tmp_path, capsys, scenes):
+        with pytest.raises(ShapeError):
+            evaluation.evaluate_diversity(Checkpoint.load(saved / "ckpt"), tiny_dataset(6), [], samples=5)
+        self.eval_diversity_exits_2(saved, tmp_path, capsys, "--scenes", str(scenes))
 
     def test_distinct_subgraphs_draw_as_repeated_sample_subgraph(self):
         def repeated(g_full, samples, rng, tries=200):
@@ -467,8 +475,23 @@ class TestWorldInCheckpoint:
 class TestBadWorldConfig:
     @pytest.mark.parametrize(
         "text",
-        ['{"dim": 12, "bogus": 1}', '{"dim": 12, "noise": -1}', '{"dim": 12'],
-        ids=["unknown-key", "bad-value", "malformed-json"],
+        [
+            '{"dim": 12, "bogus": 1}',
+            '{"dim": 12, "noise": -1}',
+            '{"dim": 12',
+            '{"max_attrs_per_object": -1}',
+            '{"max_attrs_per_object": 9}',
+            '{"n_object_classes": 99}',
+            '{"n_attr_classes": 13}',
+            '{"n_rel_classes": 9}',
+            '{"dim": 0}',
+            '{"dim": 6, "prototype_seed": -1}',
+        ],
+        ids=[
+            "unknown-key", "bad-value", "malformed-json", "negative-attrs", "too-many-attrs",
+            "too-many-object-classes", "too-many-attr-classes", "too-many-rel-classes", "zero-dim",
+            "negative-prototype-seed",
+        ],
     )
     def test_gen_data_exits_2(self, tmp_path, capsys, text):
         from graphcap.cli import main
@@ -573,6 +596,7 @@ class TestCli:
 
     def test_gradcheck_command(self):
         assert self.run_cli("gradcheck", "--dim", 6, "--seed", 0) == 0
+        assert self.run_cli("gradcheck", "--dim", 0) == 2
 
     def test_console_entry_point(self):
         out = subprocess.run(
