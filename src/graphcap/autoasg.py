@@ -218,8 +218,7 @@ def train_relation_classifier(
     for _ in range(epochs):
         ad.zero_grads(params.params())
         with ad.record() as tape:
-            probs = ad.softmax(_clf_logits(params, ad.tensor(xs)))
-            loss = ad.mean_nll([probs], [ys])
+            loss = ad.cross_entropy(_clf_logits(params, ad.tensor(xs)), ys)
         ad.backward(tape, loss)
         adam_step(opt, params.params(), [p.grad for p in params.params()])
     return params

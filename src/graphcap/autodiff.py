@@ -29,8 +29,11 @@ Design points:
   arXiv 1604.01946, do for the forward).  A leaf's sum goes into its
   ``grad`` when the pass ends; a tensor the tape made is resolved when
   the walk reaches its producer.
-* :func:`mean_nll` is the training loss: the mean negative log of
-  picked probabilities, one tape entry for a whole caption.
+* :func:`cross_entropy` is the one loss: the mean negative
+  log-softmax of the picked logits, max-shifted so that it is finite
+  for any finite logits.  Its arithmetic (:func:`_picked_nll`) also
+  serves the decoder's output layer, which applies the word projection
+  to a whole caption's rows and takes this loss in one tape entry.
 * There is one sigmoid, ``0.5 + 0.5 * np.tanh(0.5 * x)``, so a run
   computes the same bits whatever optional packages are installed.
 * Tensors are value-like.  A tape and the tensors flowing through it
@@ -75,7 +78,7 @@ __all__ = [
     "tsum",
     "tmean",
     "reshape",
-    "mean_nll",
+    "cross_entropy",
     "Rows",
 ]
 
@@ -459,39 +462,39 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     return primitive((a,), a.data.reshape(shape).copy(), bwd)
 
 
-def mean_nll(probs: Sequence[Tensor], targets: Sequence) -> Tensor:
-    """Mean of ``-log p`` over the picked probabilities, as one primitive:
-    ``targets[k]`` indexes the last axis of ``probs[k]`` (an int for a
-    distribution of shape (V,), an int array of shape (n,) for one of
-    shape (n, V)).  A picked probability of zero raises NumericError."""
-    if not probs or len(probs) != len(targets):
-        raise ShapeError(f"{len(probs)} distributions for {len(targets)} targets")
-    flat = []  # per distribution, the flat indices of its picks
-    parts = []
-    for p, t in zip(probs, targets):
-        t = np.asarray(t, dtype=np.intp).reshape(-1)
-        vocab = p.data.shape[-1]
-        if t.size and (t.min() < 0 or t.max() >= vocab):
-            raise ShapeError(f"target out of range for {vocab} classes")
-        flat.append(np.arange(t.size) * vocab + t)
-        parts.append(p.data.reshape(-1)[flat[-1]])
-    picked = np.concatenate(parts)
-    if not picked.size:
-        raise ShapeError("mean_nll needs at least one target")
-    if not picked.min() > 0.0:
-        raise NumericError("log of non-positive picked probability")
-    scale = -1.0 / picked.size
-    out = np.asarray(np.log(picked).sum() * scale)
+def _log_softmax_raw(x: np.ndarray) -> np.ndarray:
+    """Log-softmax over the last axis, max-shifted: finite for any
+    finite ``x``, however small a probability."""
+    shifted = x - x.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
-    def bwd(g):
-        grads = []
-        for p, idx, part in zip(probs, flat, parts):
-            gp = np.zeros(p.data.size)
-            gp[idx] = g * scale / part
-            grads.append(gp.reshape(p.data.shape))
-        return tuple(grads)
 
-    return primitive(tuple(probs), out, bwd)
+def _picked_nll(log_probs: np.ndarray, targets):
+    """The mean of ``-log_probs[k, targets[k]]`` over the rows of
+    (N, V) log-probabilities, and its adjoint rule in the logits the
+    log-probabilities came from: ``g / N`` times (softmax - one-hot)."""
+    n, vocab = log_probs.shape
+    t = np.asarray(targets, dtype=np.intp).reshape(-1)
+    if not n or t.size != n:
+        raise ShapeError(f"{n} distributions for {t.size} targets")
+    if t.min() < 0 or t.max() >= vocab:
+        raise ShapeError(f"target out of range for {vocab} classes")
+    rows = np.arange(n)
+    value = np.asarray(log_probs[rows, t].sum() * (-1.0 / n))
+
+    def dlogits(g):
+        d = np.exp(log_probs)
+        d[rows, t] -= 1.0
+        return d * (g / n)
+
+    return value, dlogits
+
+
+def cross_entropy(logits: Tensor, targets) -> Tensor:
+    """Mean cross entropy of (N, V) logits against N class ids, as one
+    primitive."""
+    value, dlogits = _picked_nll(_log_softmax_raw(logits.data), targets)
+    return primitive((logits,), value, lambda g: (dlogits(g),))
 
 
 # ---------------------------------------------------------------------------

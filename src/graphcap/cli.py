@@ -158,7 +158,7 @@ def _attention_trace(model: CaptionModel, graph, feats, tokens: list[int]) -> li
     prev = model.bos_id
     trace = []
     for tok in tokens:
-        state, _, modes, beta, sentinel = model._step(prepared, state, prev)
+        state, modes, beta, sentinel = model._step(prepared, state, prev)
         trace.append(
             {
                 "token": model.token_text(tok),

@@ -3,7 +3,8 @@
 Two stacked recurrent cells drive generation: the query cell consumes
 the fused scene vector, the previous word, and the previous language
 state to produce an attention query; the language cell consumes the
-attended context and the query to produce the word distribution.
+attended context and the query, and the output layer turns its state
+into the word distribution.
 
 Attention over the node slots (start slot 0 plus one slot per graph
 node) blends two scores: a content score from query/node relevance and
@@ -13,10 +14,15 @@ sigmoid gate fuses the two.  After each emitted word, every slot is
 rewritten by an erase-then-add update scaled by its attention mass and
 a scalar sentinel (so function words leave the graph memory untouched).
 
-Each sub-module (LSTM cell, content attention, flow attention, the
-fusion gate with its context, the output layer and the graph update) is
-one autodiff primitive with a hand-written adjoint, so a recorded decode
-is differentiable end to end.  Weight adjoints are returned as factor
+Each sub-module (an LSTM cell with its input projection, content
+attention, flow attention, the fusion gate with its context and the
+graph update) is one autodiff primitive with a hand-written adjoint, so
+a recorded decode is differentiable end to end: a step records seven
+tape entries, the previous word's lookup included.  The output layer is
+outside the step.  Decoding applies it to each step's rows in numpy
+(``output_log_probs``); teacher-forced training applies it once to the
+stacked states of the whole caption and takes the loss in the same
+primitive (``output_loss``).  Weight adjoints are returned as factor
 pairs ``(x, g)`` (see :mod:`graphcap.autodiff`), which the backward pass
 stacks over the decode steps into one product per weight.
 
@@ -34,8 +40,8 @@ shared weights sum over the rows.  Beam search packs the unfinished
 hypotheses of all its requests into one batched state and advances
 them with one step per search step (small per-row GEMMs batched into
 one, as Appleyard et al. batch them across time).  Unbatched calls
-(training, the loss, greedy decoding) run the same numpy calls as
-without the axis.
+(the loss, greedy decoding) run the same numpy calls as without the
+axis.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor, _sigmoid_raw, _softmax_raw
+from .autodiff import Tensor, _log_softmax_raw, _picked_nll, _sigmoid_raw, _softmax_raw
 from .errors import ShapeError
 from .graph import FlowGraph
 
@@ -60,6 +66,8 @@ __all__ = [
     "flow_attention",
     "fuse_and_context",
     "language_step",
+    "output_log_probs",
+    "output_loss",
     "graph_update",
     "Hypothesis",
     "beam_search",
@@ -217,20 +225,27 @@ def _attend_adjoint(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     return x @ g if g.ndim == 1 else (x @ g[:, :, None])[:, :, 0]
 
 
-def _repeat_rows(t: Tensor, k: int) -> Tensor:
-    """A shared vector as k identical rows; the adjoint sums the rows."""
-    return ad.primitive((t,), np.broadcast_to(t.data, (k, t.data.size)), lambda g: (g.sum(axis=0),))
-
-
-def lstm_step(cell: LstmParams, x: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
+def lstm_step(cell: LstmParams, parts, h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
     """One LSTM cell in the fused-gate form of Appleyard et al.
-    (arXiv 1604.01946): the input projection, then a single primitive
-    for the recurrent product, the four gates (order i, f, o, g) and
-    the new (h, c)."""
-    xw = ad.matmul(x, cell.w_ih)
+    (arXiv 1604.01946): one primitive for the input projection of the
+    concatenated ``parts``, the recurrent product, the four gates
+    (order i, f, o, g) and the new (h, c).
+
+    A part is a tensor, or a pair ``(table, key)`` standing for the rows
+    ``key`` of ``table``, looked up first (the previous word).  A part
+    of one vector (d,) next to a state of K rows is shared by every
+    row, and its adjoint sums over them.  The parts' adjoints are the
+    slices of ``dgates @ w_ih.T``."""
+    parts = [ad.tslice(*p) if type(p) is tuple else p for p in parts]
     d = cell.hidden
-    w_hh, bias = cell.w_hh, cell.bias
-    gates = xw.data + h.data @ w_hh.data + bias.data
+    w_ih, w_hh, bias = cell.w_ih, cell.w_hh, cell.bias
+    datas = [p.data for p in parts]
+    shared = [x.ndim < h.data.ndim for x in datas]
+    if any(shared):
+        rows = h.data.shape[:-1]
+        datas = [np.broadcast_to(x, rows + x.shape[-1:]) if s else x for x, s in zip(datas, shared)]
+    x = np.concatenate(datas, axis=-1)
+    gates = x @ w_ih.data + h.data @ w_hh.data + bias.data
     ifo = _sigmoid_raw(gates[..., : 3 * d])
     i, f, o = ifo[..., :d], ifo[..., d : 2 * d], ifo[..., 2 * d :]
     g = np.tanh(gates[..., 3 * d :])
@@ -242,22 +257,24 @@ def lstm_step(cell: LstmParams, x: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor
         dgates = np.concatenate([gc * g, gc * c.data, gh * tanh_c, gc * i], axis=-1)
         dgates[..., : 3 * d] *= ifo * (1.0 - ifo)
         dgates[..., 3 * d :] *= 1.0 - g * g
-        return dgates, dgates @ w_hh.data.T, gc * f, (h.data, dgates), _lead_sum(dgates)
+        dx = dgates @ w_ih.data.T
+        g_parts, start = [], 0
+        for x_part, s in zip(datas, shared):
+            stop = start + x_part.shape[-1]
+            g_parts.append(_lead_sum(dx[..., start:stop]) if s else dx[..., start:stop])
+            start = stop
+        return (*g_parts, dgates @ w_hh.data.T, gc * f, (x, dgates), (h.data, dgates), _lead_sum(dgates))
 
-    return ad.primitive((xw, h, c, w_hh, bias), (o * tanh_c, c_new), bwd)
+    return ad.primitive((*parts, h, c, w_ih, w_hh, bias), (o * tanh_c, c_new), bwd)
 
 
-def attention_query_step(
-    params: DecoderParams, state: DecoderState, fused: Tensor, w_prev: Tensor
-) -> tuple[Tensor, Tensor]:
+def attention_query_step(params: DecoderParams, state: DecoderState, fused: Tensor, w_prev) -> tuple[Tensor, Tensor]:
     """Query cell: consumes [fused scene; previous word; previous
     language hidden] and advances the query LSTM.  One scene vector (d,)
     is shared by the rows of a batched state; a pack gives one per row
-    (K, d)."""
-    if w_prev.data.ndim == 2 and fused.data.ndim == 1:
-        fused = _repeat_rows(fused, len(w_prev.data))
-    x = ad.concat([fused, w_prev, state.h_lang], axis=-1)
-    return lstm_step(params.att_cell, x, state.h_att, state.c_att)
+    (K, d).  ``w_prev`` is an ``lstm_step`` part: the embedding, or the
+    pair (embedding table, previous ids)."""
+    return lstm_step(params.att_cell, [fused, w_prev, state.h_lang], state.h_att, state.c_att)
 
 
 def content_attention(
@@ -423,19 +440,34 @@ def fuse_and_context(
 
 def language_step(
     params: DecoderParams, state: DecoderState, context: Tensor, h_query: Tensor
-) -> tuple[Tensor, Tensor, Tensor]:
-    """Language cell plus word projection: returns (h, c, probabilities).
-    The projection, its bias and the softmax are one primitive."""
-    x = ad.concat([context, h_query], axis=-1)
-    h_new, c_new = lstm_step(params.lang_cell, x, state.h_lang, state.c_lang)
+) -> tuple[Tensor, Tensor]:
+    """Language cell: consumes [context; query] and returns its new
+    (h, c).  The output layer reads ``h`` (``output_log_probs``,
+    ``output_loss``)."""
+    return lstm_step(params.lang_cell, [context, h_query], state.h_lang, state.c_lang)
+
+
+def output_log_probs(params: DecoderParams, h: np.ndarray) -> np.ndarray:
+    """Word log-probabilities of the language states ``h``, one row or
+    any number of rows: the max-shifted log-softmax of
+    ``h @ w_out + b_out``."""
+    return _log_softmax_raw(h @ params.w_out.data + params.b_out.data)
+
+
+def output_loss(params: DecoderParams, h_rows: list[Tensor], targets) -> Tensor:
+    """Mean cross entropy of ``targets[t]`` under the output layer at
+    the language state ``h_rows[t]``: the states stacked into one
+    (T, d) @ (d, V) product, its log-softmax and the loss as one
+    primitive."""
     w, b = params.w_out, params.b_out
-    probs = _softmax_raw(h_new.data @ w.data + b.data)
+    h = np.stack([r.data for r in h_rows])
+    value, dlogits = _picked_nll(output_log_probs(params, h), targets)
 
     def bwd(g):
-        dlogits = probs * (g - _dot(g, probs))
-        return dlogits @ w.data.T, (h_new.data, dlogits), _lead_sum(dlogits)
+        dl = dlogits(g)
+        return (*(dl @ w.data.T), (h, dl), dl.sum(axis=0))
 
-    return h_new, c_new, ad.primitive((h_new, w, b), probs, bwd)
+    return ad.primitive((*h_rows, w, b), value, bwd)
 
 
 def graph_update(

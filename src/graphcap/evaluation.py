@@ -115,9 +115,11 @@ class DiversityResult:
     baseline_div2: float
     baseline_self_cider: float | None
     per_scene: list[dict]
+    skipped_scenes: int  # scenes left out because every sampled graph was invalid
 
     def to_json(self) -> dict:
         return {
+            "skipped_scenes": self.skipped_scenes,
             "sampled_graphs": {
                 "div1": self.div1,
                 "div2": self.div2,
@@ -177,7 +179,8 @@ def evaluate_diversity(
 
     ``graph_source`` maps a scene to the full graph to sample from
     (defaults to the scene's true graph; pass an automatic pipeline to
-    exercise generated graphs).
+    exercise generated graphs).  A scene whose sampled graphs are all
+    invalid is left out of the scores and counted in ``skipped_scenes``.
     """
     if samples < 1:
         raise ShapeError(f"samples must be >= 1, got {samples}")
@@ -188,6 +191,7 @@ def evaluate_diversity(
     per_scene = []
     set_scores = {"div1": [], "div2": [], "self_cider": []}
     base_scores = {"div1": [], "div2": [], "self_cider": []}
+    skipped = 0
 
     for sid in scene_ids:
         scene = dataset.scenes[sid]
@@ -202,6 +206,7 @@ def evaluate_diversity(
         feats = [None if validate_asg(sub) else features_for(scene, sub, dataset.world) for sub in subs]
         sampled = [(sub, f, 1) for sub, f in zip(subs, feats) if f is not None]
         if not sampled:
+            skipped += 1
             continue
         # baseline: re-decode the same graph, varying only the beam
         # width, and keep each run's best caption
@@ -233,4 +238,5 @@ def evaluate_diversity(
         baseline_div2=mean(base_scores["div2"]) or 0.0,
         baseline_self_cider=mean(base_scores["self_cider"]),
         per_scene=per_scene,
+        skipped_scenes=skipped,
     )

@@ -203,22 +203,45 @@ def _df_stats(corpus: list[list[str]]):
     return df, max(1, len(corpus))
 
 
-def _tfidf_vec(tokens: list[str], df, n_docs: int, n: int) -> dict:
-    vec = {}
-    for g, c in _ngrams(tokens, n).items():
-        idf = math.log(n_docs / df[n - 1][g]) if df[n - 1][g] > 0 else math.log(n_docs)
-        vec[g] = c * idf
-    return vec
+def _norm(vec: dict) -> float:
+    return math.sqrt(sum(v * v for v in vec.values()))
 
 
-def _cosine(a: dict, b: dict) -> float | None:
-    """Cosine of sparse vectors; None signals a zero norm."""
-    na = math.sqrt(sum(v * v for v in a.values()))
-    nb = math.sqrt(sum(v * v for v in b.values()))
+def _caption_stats(tokens: list[str], df, n_docs: int):
+    """What ``cider_pair`` reads of one caption under fixed corpus
+    statistics: its length and, per n-gram level 1..4, its tf-idf
+    vector and norm and its raw counts and norm."""
+    levels = []
+    for n in range(1, 5):
+        counts = _ngrams(tokens, n)
+        vec = {}
+        for g, c in counts.items():
+            idf = math.log(n_docs / df[n - 1][g]) if df[n - 1][g] > 0 else math.log(n_docs)
+            vec[g] = c * idf
+        levels.append((vec, _norm(vec), counts, _norm(counts)))
+    return len(tokens), levels
+
+
+def _cosine(a: dict, na: float, b: dict, nb: float) -> float | None:
+    """Cosine of sparse vectors of norms ``na`` and ``nb``; None
+    signals a zero norm."""
     if na == 0.0 or nb == 0.0:
         return None
     dot = sum(v * b[g] for g, v in a.items() if g in b)
     return dot / (na * nb)
+
+
+def _cider_of(gen_stats, ref_stats) -> float:
+    """The pair score of two captions' ``_caption_stats``."""
+    (len_gen, gen_levels), (len_ref, ref_levels) = gen_stats, ref_stats
+    penalty = math.exp(-((len_gen - len_ref) ** 2) / (2 * _SIGMA_LEN**2))
+    total = 0.0
+    for (vg, ng, cg, rg), (vr, nr, cr, rr) in zip(gen_levels, ref_levels):
+        cos = _cosine(vg, ng, vr, nr)
+        if cos is None:
+            cos = _cosine(cg, rg, cr, rr) or 0.0
+        total += cos
+    return 10.0 * (total / 4.0) * penalty
 
 
 def cider_pair(gen: list[str], ref: list[str], df, n_docs: int) -> float:
@@ -230,16 +253,7 @@ def cider_pair(gen: list[str], ref: list[str], df, n_docs: int) -> float:
     to raw counts so identical captions still score maximally (and to 0
     when a caption has no n-gram of that level).
     """
-    penalty = math.exp(-((len(gen) - len(ref)) ** 2) / (2 * _SIGMA_LEN**2))
-    total = 0.0
-    for n in range(1, 5):
-        vg = _tfidf_vec(gen, df, n_docs, n)
-        vr = _tfidf_vec(ref, df, n_docs, n)
-        cos = _cosine(vg, vr)
-        if cos is None:
-            cos = _cosine(_ngrams(gen, n), _ngrams(ref, n)) or 0.0
-        total += cos
-    return 10.0 * (total / 4.0) * penalty
+    return _cider_of(_caption_stats(gen, df, n_docs), _caption_stats(ref, df, n_docs))
 
 
 def cider_d(gens: list[list[str]], refs: list[list[str]], corpus: list[list[str]]) -> float:
@@ -286,10 +300,11 @@ def self_cider(captions: list[list[str]]) -> float:
     if m < 2:
         raise ShapeError("need at least two captions")
     df, n_docs = _df_stats(captions)
+    stats = [_caption_stats(cap, df, n_docs) for cap in captions]
     k = np.zeros((m, m))
     for i in range(m):
         for j in range(i, m):
-            k[i, j] = k[j, i] = cider_pair(captions[i], captions[j], df, n_docs)
+            k[i, j] = k[j, i] = _cider_of(stats[i], stats[j])
     empty = np.array([not cap for cap in captions])
     diag = np.where(empty, 1.0, np.diag(k))
     k = k / np.sqrt(np.outer(diag, diag))  # sqrt(c * c) == c: duplicates give exact ones

@@ -5,7 +5,10 @@ switches.  A forward pass prepares a graph once (node embeddings, fused
 scene vector, flow graph) and then steps the decoder token by token;
 the same step function serves teacher-forced training, greedy decoding,
 and beam search, which steps all its live hypotheses at once as the
-rows of one batched state.  Beam search also packs the requests of
+rows of one batched state.  The output layer is outside the step:
+decoding applies it to each step's rows, and the training loss applies
+it once to the language states of the whole caption, fused with the
+cross entropy in one primitive.  Beam search also packs the requests of
 several graphs into one search (``caption_pack``): each graph's
 prepared inputs are zero-padded to the pack's most slots and become
 rows of one ``Prepared`` with a slot mask (``CaptionModel.pack``).
@@ -135,15 +138,15 @@ class CaptionModel:
         return dec.init_state(prepared.x_enc, prepared.flow)
 
     def _step(self, prepared: Prepared, state: DecoderState, prev_id):
-        """Advance one decode step: returns (new state, token probability
-        tensor, flow modes, fusion gate, sentinel); each of the last three
-        is None when its component is switched off.  ``prev_id`` is an
-        int for an unbatched state, or an int array of K ids for a state
-        whose fields carry a leading axis of K rows (see beam_search);
-        with a pack's rows as ``prepared``, row k reads row k's graph."""
+        """Advance one decode step: returns (new state, flow modes,
+        fusion gate, sentinel); each of the last three is None when its
+        component is switched off.  ``prev_id`` is an int for an
+        unbatched state, or an int array of K ids for a state whose
+        fields carry a leading axis of K rows (see beam_search); with a
+        pack's rows as ``prepared``, row k reads row k's graph.  The
+        next word's distribution is read off ``new_state.h_lang``."""
         p = self.decoder
-        w_prev = ad.tslice(p.word_emb, prev_id)
-        h_att, c_att = dec.attention_query_step(p, state, prepared.fused, w_prev)
+        h_att, c_att = dec.attention_query_step(p, state, prepared.fused, (p.word_emb, prev_id))
 
         alpha_c = (
             dec.content_attention(p, state.x_nodes, h_att, prepared.mask)
@@ -157,7 +160,7 @@ class CaptionModel:
         alpha, context, beta = dec.fuse_and_context(
             p, alpha_c, alpha_f, h_att, state.z, state.x_nodes
         )
-        h_lang, c_lang, probs = dec.language_step(p, state, context, h_att)
+        h_lang, c_lang = dec.language_step(p, state, context, h_att)
         if self.config.use_graph_update:
             x_next, sentinel = dec.graph_update(p, state.x_nodes, h_lang, alpha)
         else:
@@ -172,30 +175,32 @@ class CaptionModel:
             alpha=alpha,
             z=context,
         )
-        return new_state, probs, modes, beta, sentinel
+        return new_state, modes, beta, sentinel
 
     def step(self, prepared: Prepared, state: DecoderState, prev_id):
         """Decoding-facing step: returns the fresh state that ``_step``
         built (no primitive writes into its inputs, so states are never
-        shared mutably) and the log-probabilities as an array, with one
-        row per state row when batched."""
-        new_state, probs, *_ = self._step(prepared, state, prev_id)
-        return new_state, np.log(np.maximum(probs.data, 1e-300))
+        shared mutably) and the next word's log-probabilities as an
+        array, with one row per state row when batched."""
+        new_state, *_ = self._step(prepared, state, prev_id)
+        return new_state, dec.output_log_probs(self.decoder, new_state.h_lang.data)
 
     # -- training loss ------------------------------------------------------
 
     def loss(self, g: SceneGraph, feats: FeatureBundle, caption_ids: list[int]) -> tuple[Tensor, int]:
         """Teacher-forced mean cross entropy per target token (the
-        caption plus the end token)."""
+        caption plus the end token): the decode step runs once per
+        token, and the output layer and the loss run once, over the
+        stacked language states."""
         prepared = self.prepare(g, feats)
         state = self.initial_state(prepared)
         inputs = [self.bos_id] + list(caption_ids)
         targets = list(caption_ids) + [self.eos_id]
-        probs = []
+        h_rows = []
         for prev_id in inputs:
-            state, p, *_ = self._step(prepared, state, prev_id)
-            probs.append(p)
-        return ad.mean_nll(probs, targets), len(targets)
+            state, *_ = self._step(prepared, state, prev_id)
+            h_rows.append(state.h_lang)
+        return dec.output_loss(self.decoder, h_rows, targets), len(targets)
 
     # -- decoding -------------------------------------------------------------
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -172,12 +173,18 @@ def _attr_count_probs(cfg: WorldConfig) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=16)
 def _prototypes(cfg: WorldConfig):
+    """The unit-norm object, attribute and relation prototype tables of
+    a world, drawn once per config and read-only, since every feature
+    of every scene reads them."""
     rng = np.random.default_rng(cfg.prototype_seed)
 
     def unit_rows(n):
         m = rng.normal(size=(n, cfg.dim))
-        return m / np.linalg.norm(m, axis=1, keepdims=True)
+        m /= np.linalg.norm(m, axis=1, keepdims=True)
+        m.setflags(write=False)
+        return m
 
     return unit_rows(cfg.n_object_classes), unit_rows(cfg.n_attr_classes), unit_rows(cfg.n_rel_classes)
 

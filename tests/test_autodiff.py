@@ -82,11 +82,21 @@ class TestForwardValues:
         with pytest.raises(NumericError):
             ad.div(ad.tensor([1.0]), ad.tensor([0.0]))
 
-    def test_mean_nll_of_zero_picked_probability_raises(self):
-        probs = [ad.parameter([0.5, 0.5, 0.0]), ad.parameter([0.2, 0.3, 0.5])]
-        assert ad.mean_nll(probs, [0, 2]).item() == pytest.approx(-(np.log(0.5) + np.log(0.5)) / 2)
-        with pytest.raises(NumericError):
-            ad.mean_nll(probs, [2, 2])
+    def test_cross_entropy_of_an_underflowed_target_is_finite(self):
+        # softmax of the first row gives its target exp(-1000), which
+        # underflows to zero; the log-softmax does not
+        logits = ad.parameter([[0.0, 1000.0, 0.0], [np.log(0.2), np.log(0.3), np.log(0.5)]])
+        with ad.record() as tape:
+            loss = ad.cross_entropy(logits, [0, 2])
+        assert loss.item() == pytest.approx((1000.0 - np.log(0.5)) / 2, rel=1e-15)
+        ad.backward(tape, loss)
+        np.testing.assert_allclose(logits.grad, [[-0.5, 0.5, 0.0], [0.1, 0.15, -0.25]], atol=1e-15)
+
+    def test_cross_entropy_rejects_bad_targets(self):
+        logits = ad.tensor(np.zeros((2, 3)))
+        for targets in ([0, 3], [-1, 0], [0]):
+            with pytest.raises(ShapeError):
+                ad.cross_entropy(logits, targets)
 
 
 class TestBackward:
@@ -300,9 +310,10 @@ class TestFactorForm:
             np.testing.assert_allclose(g2, 2.0 * g1, rtol=1e-12, atol=0.0)
         assert np.all(once[0][[0, 1, 3]] == 0.0)
 
-    def test_tier1_loss_tape_has_94_entries(self):
-        # the instance of test_01_gradient_fidelity: 2 R-GCN layers, 7
-        # decode steps of 12 entries, and one loss entry
+    def test_tier1_loss_tape_has_59_entries(self):
+        # the instance of test_01_gradient_fidelity: 9 encoder entries
+        # (2 R-GCN layers), 7 decode steps of 7 entries, and one entry
+        # for the output layer and the loss
         world = WorldConfig(dim=16, n_object_classes=2, n_attr_classes=2, n_rel_classes=2)
         rng = np.random.default_rng(1)
         scene = gen_scene(world, rng)
@@ -314,7 +325,7 @@ class TestFactorForm:
         model = CaptionModel(ModelConfig(dim=16, n_layers=2), vocab, seed=1)
         with ad.record() as tape:
             model.loss(graph, feats, ids)
-        assert len(tape) == 94
+        assert len(tape) == 59
 
 
 class TestAdjointsMatchFiniteDifferences:
@@ -355,7 +366,20 @@ def _rows(k):
 def _lstm(rng, d=3, k=None):
     cell = dec.LstmParams(*(ad.parameter(rng.normal(size=s)) for s in ((2 * d, 4 * d), (d, 4 * d), (4 * d,))))
     x, h, c = (ad.parameter(rng.normal(size=_rows(k) + (n,))) for n in (2 * d, d, d))
-    return lambda: dec.lstm_step(cell, x, h, c), [x, h, c, cell.w_ih, cell.w_hh, cell.bias]
+    return lambda: dec.lstm_step(cell, [x], h, c), [x, h, c, cell.w_ih, cell.w_hh, cell.bias]
+
+
+def _lstm_parts(rng, d=3, k=None):
+    # three input parts: a vector shared by every row, rows looked up in
+    # a table (row 2 twice when batched) and a tensor of the state's rows
+    cell = dec.LstmParams(*(ad.parameter(rng.normal(size=s)) for s in ((3 * d + 1, 4 * d), (d, 4 * d), (4 * d,))))
+    shared, table = ad.parameter(rng.normal(size=d - 1)), ad.parameter(rng.normal(size=(4, d)))
+    x, h, c = (ad.parameter(rng.normal(size=_rows(k) + (n,))) for n in (d + 2, d, d))
+    key = 2 if k is None else np.array([2, 0, 2])
+    return (
+        lambda: dec.lstm_step(cell, [shared, (table, key), x], h, c),
+        [shared, table, x, h, c, cell.w_ih, cell.w_hh, cell.bias],
+    )
 
 
 def _query(rng, d=3, k=None, scene_rows=None):
@@ -435,10 +459,24 @@ def _language(rng, d=3, k=None):
     state = dec.init_state(ad.tensor(rng.normal(size=(5, d))), build_flow(chain_graph()))
     h_lang, c_lang, ctx, hq = (ad.parameter(rng.normal(size=_rows(k) + (d,))) for _ in range(4))
     state = replace(state, h_lang=h_lang, c_lang=c_lang)
+    cell = p.lang_cell
     return (
         lambda: dec.language_step(p, state, ctx, hq),
-        [h_lang, c_lang, ctx, hq, p.w_out, p.b_out, p.lang_cell.w_hh],
+        [h_lang, c_lang, ctx, hq, cell.w_ih, cell.w_hh, cell.bias],
     )
+
+
+def _output_loss(rng, d=3, vocab=5):
+    # four steps' language states; target 3 twice
+    p = dec.init_decoder_params(d, vocab, rng)
+    p.b_out = ad.parameter(rng.normal(size=vocab))
+    h_rows = [ad.parameter(rng.normal(size=d)) for _ in range(4)]
+    return lambda: (dec.output_loss(p, h_rows, [3, 0, 3, 4]),), h_rows + [p.w_out, p.b_out]
+
+
+def _cross_entropy(rng, vocab=5):
+    logits = ad.parameter(rng.normal(size=(3, vocab)) * 3.0)
+    return lambda: (ad.cross_entropy(logits, [1, 4, 1]),), [logits]
 
 
 def _graph_update(rng, d=3, k=None):
@@ -456,13 +494,6 @@ def _role_embed(rng, d=3):
     params = enc.init_encoder_params(d, 1, 2, rng)
     feats = enc.FeatureBundle(node_features=rng.normal(size=(4, d)), scene_feature=rng.normal(size=d))
     return lambda: (enc.role_embed(g, feats, params),), [params.role_table, params.pos_table]
-
-
-def _mean_nll(rng, vocab=5):
-    probs = [ad.parameter(rng.dirichlet(np.ones(vocab))) for _ in range(3)]
-    probs.append(ad.parameter(rng.dirichlet(np.ones(vocab), size=2)))
-    targets = [0, 3, 3, np.array([1, 4])]
-    return lambda: (ad.mean_nll(probs, targets),), probs
 
 
 def _mrgcn(rng, d=3):
@@ -550,6 +581,7 @@ def _graph_update_pack(rng, d=3):
 # name -> (maker of (forward, inputs to check), number of outputs)
 FUSED = {
     "lstm_cell": (_lstm, 2),
+    "lstm_cell_parts": (_lstm_parts, 2),
     "attention_query": (_query, 2),
     "content_attention": (_content, 1),
     "flow_attention": (_flow, 2),
@@ -557,16 +589,18 @@ FUSED = {
     "flow_attention_no_transport": (_no_flow, 2),
     "fuse_and_context": (_fuse, 3),
     "attended_context": (_context_only, 1),
-    "language_step": (_language, 3),
+    "language_step": (_language, 2),
+    "output_loss": (_output_loss, 1),
     "graph_update": (_graph_update, 2),
     "role_embed": (_role_embed, 1),
     "mrgcn_layer": (_mrgcn, 1),
-    "mean_nll": (_mean_nll, 1),
+    "cross_entropy": (_cross_entropy, 1),
 }
 
 # the decoder primitives again, on K=3 rows with a leading batch axis
 BATCHED = {
     "lstm_cell": _lstm,
+    "lstm_cell_parts": _lstm_parts,
     "attention_query": _query,
     "content_attention": _content,
     "flow_attention": _flow,
@@ -684,15 +718,18 @@ class TestPackRowsMatchTheirOwnGraphs:
 
 
 class TestModelGradCheckPerAblation:
-    """A whole d=2 model on a 3-token caption, with one switch off."""
+    """A whole d=2 model on a 3-token caption, with every component on
+    or with one switch off: the folded cells and the output-and-loss
+    primitive in place."""
 
     @pytest.mark.parametrize(
         "switch",
-        ["use_role_embed", "use_mrgcn", "use_content_attention", "use_flow_attention", "use_graph_update"],
+        [None, "use_role_embed", "use_mrgcn", "use_content_attention", "use_flow_attention", "use_graph_update"],
     )
     def test_grad_check(self, switch):
         rng = np.random.default_rng(3)
-        model = CaptionModel(ModelConfig(dim=2, n_layers=1, **{switch: False}), Vocab.build(["aa", "bb"]), seed=2)
+        switches = {switch: False} if switch else {}
+        model = CaptionModel(ModelConfig(dim=2, n_layers=1, **switches), Vocab.build(["aa", "bb"]), seed=2)
         feats = enc.FeatureBundle(node_features=rng.normal(size=(4, 2)), scene_feature=rng.normal(size=2))
         g = chain_graph()
         err = grad_check(lambda: model.loss(g, feats, [4, 5, 4])[0], model.parameters(), eps=1e-6)

@@ -19,8 +19,8 @@ from graphcap.decoder import (
     graph_update,
     init_decoder_params,
     init_state,
-    language_step,
     lstm_step,
+    output_log_probs,
 )
 from graphcap.encoder import FeatureBundle
 from graphcap.errors import ShapeError
@@ -79,7 +79,7 @@ class TestLstmCell:
             w_hh=ad.parameter(np.zeros((d, 4 * d))),
             bias=ad.parameter(np.zeros(4 * d)),
         )
-        h, c = lstm_step(cell, ad.tensor(np.zeros(2 * d)), ad.tensor(np.zeros(d)), ad.tensor(np.zeros(d)))
+        h, c = lstm_step(cell, [ad.tensor(np.zeros(2 * d))], ad.tensor(np.zeros(d)), ad.tensor(np.zeros(d)))
         np.testing.assert_array_equal(h.data, np.zeros(d))
         np.testing.assert_array_equal(c.data, np.zeros(d))
 
@@ -87,8 +87,8 @@ class TestLstmCell:
         cell = rand_params(3).att_cell
         rng = np.random.default_rng(5)
         x, h, c = (ad.tensor(rng.normal(size=n)) for n in (9, 3, 3))
-        h1, c1 = lstm_step(cell, x, h, c)
-        h2, c2 = lstm_step(cell, x, h, c)
+        h1, c1 = lstm_step(cell, [x], h, c)
+        h2, c2 = lstm_step(cell, [x], h, c)
         np.testing.assert_array_equal(h1.data, h2.data)
         np.testing.assert_array_equal(c1.data, c2.data)
 
@@ -107,9 +107,23 @@ class TestLstmCell:
         g = math.tanh(gates[3])
         c_want = f * c + i * g
         h_want = o * math.tanh(c_want)
-        h_got, c_got = lstm_step(cell, ad.tensor([x]), ad.tensor([h]), ad.tensor([c]))
+        h_got, c_got = lstm_step(cell, [ad.tensor([x])], ad.tensor([h]), ad.tensor([c]))
         np.testing.assert_allclose(h_got.data, [h_want], atol=1e-15)
         np.testing.assert_allclose(c_got.data, [c_want], atol=1e-15)
+
+    def test_parts_are_the_concatenated_input(self):
+        # a part shared by every row, a table lookup and a row tensor
+        # give the bits of their concatenation as one input
+        cell = rand_params(3).att_cell
+        rng = np.random.default_rng(6)
+        shared, table, x = rng.normal(size=3), rng.normal(size=(5, 3)), rng.normal(size=(2, 3))
+        h, c = (ad.tensor(rng.normal(size=(2, 3))) for _ in range(2))
+        ids = np.array([4, 1])
+        got = lstm_step(cell, [ad.tensor(shared), (ad.tensor(table), ids), ad.tensor(x)], h, c)
+        whole = np.concatenate([np.tile(shared, (2, 1)), table[ids], x], axis=1)
+        want = lstm_step(cell, [ad.tensor(whole)], h, c)
+        for a, b in zip(got, want):
+            assert np.array_equal(a.data, b.data)
 
 
 class TestContentAttention:
@@ -217,26 +231,31 @@ class TestFuseAndContext:
             fuse_and_context(p, None, None, ad.tensor(np.zeros(2)), ad.tensor(np.zeros(2)), ad.tensor(np.zeros((1, 2))))
 
 
-class TestLanguageStep:
+class TestOutputLayer:
     def test_zero_projection_uniform(self):
         d, v = 3, 9
         p = rand_params(d, vocab=v, seed=3)
         p.w_out = ad.parameter(np.zeros((d, v)))
         p.b_out = ad.parameter(np.zeros(v))
-        fg = build_flow(chain_graph())
-        st = init_state(ad.tensor(np.random.default_rng(4).normal(size=(5, d))), fg)
-        _, _, probs = language_step(p, st, ad.tensor(np.ones(d)), ad.tensor(np.ones(d)))
-        np.testing.assert_allclose(probs.data, np.full(v, 1 / v), atol=1e-12)
+        log_probs = output_log_probs(p, np.random.default_rng(4).normal(size=d))
+        np.testing.assert_allclose(log_probs, np.full(v, -np.log(v)), atol=1e-12)
 
     def test_distribution_for_random_inputs(self):
         p = rand_params(4, vocab=11, seed=5)
-        fg = build_flow(chain_graph())
         rng = np.random.default_rng(6)
-        st = init_state(ad.tensor(rng.normal(size=(5, 4))), fg)
-        for _ in range(20):
-            _, _, probs = language_step(p, st, ad.tensor(rng.normal(size=4)), ad.tensor(rng.normal(size=4)))
-            assert probs.data.min() >= 0
-            assert abs(probs.data.sum() - 1.0) < 1e-12
+        for rows in [(), (1,), (7,)]:
+            h = rng.normal(size=rows + (4,)) * 10
+            log_probs = output_log_probs(p, h)
+            assert log_probs.shape == rows + (11,) and log_probs.max() <= 0.0
+            np.testing.assert_allclose(np.exp(log_probs).sum(axis=-1), 1.0, atol=1e-12)
+            for r in np.ndindex(rows):
+                np.testing.assert_allclose(log_probs[r], output_log_probs(p, h[r]), rtol=1e-14, atol=1e-14)
+
+    def test_huge_logits_stay_finite(self):
+        # exp overflows and underflows; the max shift keeps both finite
+        p = rand_params(2, vocab=3, seed=7)
+        p.w_out = ad.parameter(np.array([[1000.0, 0.0, -1000.0], [0.0, 0.0, 0.0]]))
+        np.testing.assert_allclose(output_log_probs(p, np.array([1.0, 0.0])), [0.0, -1000.0, -2000.0])
 
 
 class TestGraphUpdate:
@@ -513,7 +532,7 @@ class TestStepInvariants:
         state = model.initial_state(prepared)
         for _ in range(60):
             prev = int(rng.integers(len(model.vocab)))
-            state, _, modes, beta, _ = model._step(prepared, state, prev)
+            state, modes, beta, _ = model._step(prepared, state, prev)
             alpha = state.alpha.data
             assert alpha.min() >= 0 and abs(alpha.sum() - 1.0) < 1e-9
             assert 0.0 < beta.data[0] < 1.0
@@ -521,12 +540,30 @@ class TestStepInvariants:
             assert s.min() >= 0 and abs(s.sum() - 1.0) < 1e-9
 
     def test_one_step_records_one_entry_per_sub_module(self):
-        # word lookup, two (concat, input projection, cell) triples,
-        # content and flow attention, fusion, output layer, graph update
+        # word lookup, the two cells with their input projections,
+        # content and flow attention, fusion and graph update; the
+        # output layer is outside the step
         model, _ = tiny_model(d=3)
         g, feats = tiny_input(d=3)
         prepared = model.prepare(g, feats)
         state = model.initial_state(prepared)
         with ad.record() as tape:
             model._step(prepared, state, model.bos_id)
-        assert len(tape) == 12
+        assert len(tape) == 7
+
+    @pytest.mark.parametrize("switch", [None, "use_content_attention", "use_flow_attention", "use_graph_update"])
+    def test_loss_is_the_teacher_forced_step_log_probabilities(self, switch):
+        # the loss's one output layer over the stacked states gives, per
+        # token, what model.step gives stepping through the caption
+        vocab = Vocab.build(["aa", "bb", "cc"])
+        model = CaptionModel(ModelConfig(dim=5, n_layers=1, **({switch: False} if switch else {})), vocab, seed=11)
+        g, feats = tiny_input(d=5, seed=12)
+        ids = [4, 6, 5, 4]
+        prepared = model.prepare(g, feats)
+        state, total = model.initial_state(prepared), 0.0
+        for prev, target in zip([model.bos_id] + ids, ids + [model.eos_id]):
+            state, log_probs = model.step(prepared, state, prev)
+            total += log_probs[target]
+        loss, n = model.loss(g, feats, ids)
+        assert n == len(ids) + 1
+        assert abs(loss.item() * n + total) <= 1e-12 * abs(total)

@@ -13,7 +13,7 @@ import pytest
 
 from graphcap import decoder, evaluation
 from graphcap.errors import ShapeError
-from graphcap.graph import asg_from_json, asg_to_json, sample_subgraph
+from graphcap.graph import Node, NodeRole, SceneGraph, asg_from_json, asg_to_json, sample_subgraph, validate_asg
 from graphcap.model import CaptionModel
 from graphcap.training import Checkpoint, Dataset, Instance, TrainConfig, train
 from graphcap.worldgen import (
@@ -212,6 +212,30 @@ class TestDiversityEvaluation:
         with pytest.raises(ShapeError):
             evaluation.evaluate_diversity(Checkpoint.load(saved / "ckpt"), tiny_dataset(6), [], samples=5)
         self.eval_diversity_exits_2(saved, tmp_path, capsys, "--scenes", str(scenes))
+
+    def test_scenes_whose_graphs_are_all_invalid_are_counted(self, saved, monkeypatch):
+        # the first scene draws only a lone attribute node, which no
+        # object points at; it is left out of the scores and counted
+        lone_attribute = SceneGraph(nodes=(Node(id=0, role=NodeRole.ATTRIBUTE, region=0),), edges=())
+        assert validate_asg(lone_attribute)
+        original = evaluation._distinct_subgraphs
+        calls = []
+
+        def first_scene_invalid(g_full, samples, rng):
+            calls.append(g_full)
+            return [lone_attribute] * samples if len(calls) == 1 else original(g_full, samples, rng)
+
+        monkeypatch.setattr(evaluation, "_distinct_subgraphs", first_scene_invalid)
+        ckpt, ds = Checkpoint.load(saved / "ckpt"), tiny_dataset(6)
+        scene_ids = sorted({inst.scene_id for inst in ds.instances})[:3]
+        result = evaluation.evaluate_diversity(ckpt, ds, scene_ids, samples=3, seed=0)
+        assert result.skipped_scenes == 1
+        assert [row["scene_id"] for row in result.per_scene] == scene_ids[1:]
+        assert result.to_json()["skipped_scenes"] == 1
+
+        calls.clear()
+        alone = evaluation.evaluate_diversity(ckpt, ds, scene_ids[:1], samples=3, seed=0)
+        assert (alone.skipped_scenes, alone.per_scene, alone.div1, alone.self_cider) == (1, [], 0.0, None)
 
     def test_distinct_subgraphs_draw_as_repeated_sample_subgraph(self):
         def repeated(g_full, samples, rng, tries=200):

@@ -129,6 +129,19 @@ class TestFeatures:
                 hits += 1
         assert hits / trials >= 0.99
 
+    def test_prototypes_drawn_once_per_config_and_read_only(self):
+        from graphcap.worldgen import _prototypes
+
+        cfg = WorldConfig(dim=8, prototype_seed=5)
+        tables = _prototypes(cfg)
+        assert all(a is b for a, b in zip(tables, _prototypes(WorldConfig(dim=8, prototype_seed=5))))
+        rng = np.random.default_rng(5)
+        for table, n in zip(tables, (cfg.n_object_classes, cfg.n_attr_classes, cfg.n_rel_classes)):
+            fresh = rng.normal(size=(n, cfg.dim))
+            assert np.array_equal(table, fresh / np.linalg.norm(fresh, axis=1, keepdims=True))
+            with pytest.raises(ValueError):
+                table[0, 0] = 0.0
+
 
 class TestRenderCaption:
     def scene_fixture(self):
