@@ -346,12 +346,14 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 def tslice(a: Tensor, key) -> Tensor:
     """``a[key]`` for a basic index (an int, slices, or a tuple of them)
-    or an integer array of rows, which may repeat a row."""
+    or an integer array of rows, which may repeat a row (gathered with
+    ``take``, which is cheaper than fancy indexing)."""
 
     def bwd(g):
         return (Rows(key, g),)
 
-    return primitive((a,), np.ascontiguousarray(a.data[key]), bwd)
+    out = a.data.take(key, axis=0) if type(key) is np.ndarray else np.ascontiguousarray(a.data[key])
+    return primitive((a,), out, bwd)
 
 
 def lookup(table: Tensor, indices) -> Tensor:

@@ -152,23 +152,22 @@ def _checked_world(ckpt: Checkpoint, world: WorldConfig, source) -> WorldConfig:
 
 def _attention_trace(model: CaptionModel, graph, feats, tokens: list[int]) -> list[dict]:
     """Per-step attention of a decoded caption, recomputed by stepping
-    the model through its tokens again (decoding is deterministic)."""
+    the model's one row through its tokens again (decoding is
+    deterministic)."""
     prepared = model.prepare(graph, feats)
     state = model.initial_state(prepared)
-    prev = model.bos_id
     trace = []
-    for tok in tokens:
-        state, modes, beta, sentinel = model._step(prepared, state, prev)
+    for prev, tok in zip([model.bos_id] + tokens, tokens):
+        state, modes, beta, sentinel = model._step(prepared, state, np.array([prev]))
         trace.append(
             {
                 "token": model.token_text(tok),
-                "alpha": state.alpha.data.tolist(),
-                "beta": float(beta.data[0]) if beta is not None else None,
-                "s": modes.data.tolist() if modes is not None else None,
-                "sentinel": float(sentinel.data[0]) if sentinel is not None else 1.0,
+                "alpha": state.alpha.data[0].tolist(),
+                "beta": float(beta.data[0, 0]) if beta is not None else None,
+                "s": modes.data[0].tolist() if modes is not None else None,
+                "sentinel": float(sentinel.data[0, 0]) if sentinel is not None else 1.0,
             }
         )
-        prev = tok
     return trace
 
 

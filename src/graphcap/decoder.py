@@ -26,22 +26,21 @@ primitive (``output_loss``).  Weight adjoints are returned as factor
 pairs ``(x, g)`` (see :mod:`graphcap.autodiff`), which the backward pass
 stacks over the decode steps into one product per weight.
 
-Every primitive also takes a leading batch axis of K rows: the state
-fields ``x_nodes`` (K, S, d), ``alpha`` (K, S) and ``h``, ``c``, ``z``
-(K, d).  The rows of one graph share its scene vector and flow matrix;
-a pack of several graphs gives each row its own scene vector (K, d) and
-flow matrix (K, S, S), with the slots past a graph's own zero-padded up
-to the pack's most slots S and a (K, S) slot mask that keeps them at
+There is one shape contract: every state and every primitive has a
+leading axis of K rows.  The state fields are ``x_nodes`` (K, S, d),
+``alpha`` (K, S) and ``h``, ``c``, ``z`` (K, d); each row reads its own
+scene vector (K, d), flow matrix (K, S, S) and additive slot mask
+(K, S).  The loss, greedy decoding and the attention trace step one row
+(K = 1).  Beam search steps the unfinished hypotheses of all its
+requests as the rows of one state, one step per search step (small
+per-row GEMMs batched into one, as Appleyard et al. batch them across
+time).  A pack of several graphs zero-pads the slots past a graph's own
+up to the pack's most slots S, and their mask of -inf keeps them at
 exactly zero content attention.  Padded slots then also get zero flow
 mass (the padded matrix entries are zero) and zero update intensity, so
 a row computes what its graph alone would.  Each row keeps its own
 vanishing-mass fallback in the flow transports, and the adjoints of
-shared weights sum over the rows.  Beam search packs the unfinished
-hypotheses of all its requests into one batched state and advances
-them with one step per search step (small per-row GEMMs batched into
-one, as Appleyard et al. batch them across time).  Unbatched calls
-(the loss, greedy decoding) run the same numpy calls as without the
-axis.
+shared weights sum over the rows.
 """
 
 from __future__ import annotations
@@ -53,7 +52,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, _log_softmax_raw, _picked_nll, _sigmoid_raw, _softmax_raw
 from .errors import ShapeError
-from .graph import FlowGraph
 
 __all__ = [
     "LstmParams",
@@ -166,30 +164,28 @@ def init_decoder_params(dim: int, vocab_size: int, rng: np.random.Generator) -> 
 
 @dataclass
 class DecoderState:
-    """Evolving per-step state.  Instances are never mutated; each step
-    returns a fresh state.  A packed state carries a leading axis of K
-    rows on every tensor."""
+    """Evolving per-step state of K rows.  Instances are never mutated;
+    each step returns a fresh state."""
 
-    x_nodes: Tensor  # (n_slots, d)
-    h_att: Tensor
+    x_nodes: Tensor  # (K, n_slots, d)
+    h_att: Tensor  # (K, d)
     c_att: Tensor
     h_lang: Tensor
     c_lang: Tensor
-    alpha: Tensor  # (n_slots,)
-    z: Tensor  # (d,)
+    alpha: Tensor  # (K, n_slots)
+    z: Tensor  # (K, d)
 
 
-def init_state(x_enc: Tensor, fg: FlowGraph | np.ndarray) -> DecoderState:
+def init_state(x_enc: Tensor, flow: np.ndarray) -> DecoderState:
     """Attention starts one-hot on the start slot; recurrent states and
-    the context vector start at zero.  A pack's ``x_enc`` (K, S, d) and
-    flow matrices (K, S, S) give a state of K rows."""
-    *rows, n_slots, dim = x_enc.data.shape
-    flow_slots = fg.n_slots if isinstance(fg, FlowGraph) else fg.shape[-1]
-    if flow_slots != n_slots:
-        raise ShapeError(f"flow graph has {flow_slots} slots, embeddings {n_slots}")
-    alpha0 = np.zeros((*rows, n_slots))
-    alpha0[..., 0] = 1.0
-    zeros = np.zeros((*rows, dim))
+    the context vector start at zero.  ``x_enc`` (K, S, d) and the flow
+    matrices (K, S, S) give a state of K rows."""
+    rows, n_slots, dim = x_enc.data.shape
+    if flow.shape[-1] != n_slots:
+        raise ShapeError(f"flow graph has {flow.shape[-1]} slots, embeddings {n_slots}")
+    alpha0 = np.zeros((rows, n_slots))
+    alpha0[:, 0] = 1.0
+    zeros = np.zeros((rows, dim))
     return DecoderState(
         x_nodes=x_enc,
         h_att=ad.tensor(zeros),
@@ -201,50 +197,20 @@ def init_state(x_enc: Tensor, fg: FlowGraph | np.ndarray) -> DecoderState:
     )
 
 
-def _dot(a: np.ndarray, b: np.ndarray):
-    """``a @ b`` over the last axis: a scalar for vectors, a (K, 1)
-    column for K rows, so it broadcasts back over each row."""
-    if a.ndim == 1:
-        return a @ b
-    return np.einsum("ki,ki->k", a, b)[:, None]
-
-
-def _lead_sum(g: np.ndarray) -> np.ndarray:
-    """An adjoint summed over its leading axes down to one vector (the
-    adjoint of a bias or vector weight shared by every row)."""
-    return g if g.ndim == 1 else g.reshape(-1, g.shape[-1]).sum(axis=0)
-
-
-def _attend(alpha: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The attended context ``alpha @ x`` of each row."""
-    return alpha @ x if alpha.ndim == 1 else (alpha[:, None, :] @ x)[:, 0]
-
-
-def _attend_adjoint(x: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """``x @ g`` of each row: the adjoint of ``_attend`` in ``alpha``."""
-    return x @ g if g.ndim == 1 else (x @ g[:, :, None])[:, :, 0]
-
-
 def lstm_step(cell: LstmParams, parts, h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
     """One LSTM cell in the fused-gate form of Appleyard et al.
     (arXiv 1604.01946): one primitive for the input projection of the
     concatenated ``parts``, the recurrent product, the four gates
     (order i, f, o, g) and the new (h, c).
 
-    A part is a tensor, or a pair ``(table, key)`` standing for the rows
-    ``key`` of ``table``, looked up first (the previous word).  A part
-    of one vector (d,) next to a state of K rows is shared by every
-    row, and its adjoint sums over them.  The parts' adjoints are the
-    slices of ``dgates @ w_ih.T``."""
+    A part is a tensor of the state's rows, or a pair ``(table, key)``
+    standing for the rows ``key`` of ``table``, looked up first (the
+    previous words).  The parts' adjoints are the slices of
+    ``dgates @ w_ih.T``."""
     parts = [ad.tslice(*p) if type(p) is tuple else p for p in parts]
     d = cell.hidden
     w_ih, w_hh, bias = cell.w_ih, cell.w_hh, cell.bias
-    datas = [p.data for p in parts]
-    shared = [x.ndim < h.data.ndim for x in datas]
-    if any(shared):
-        rows = h.data.shape[:-1]
-        datas = [np.broadcast_to(x, rows + x.shape[-1:]) if s else x for x, s in zip(datas, shared)]
-    x = np.concatenate(datas, axis=-1)
+    x = np.concatenate([p.data for p in parts], axis=-1)
     gates = x @ w_ih.data + h.data @ w_hh.data + bias.data
     ifo = _sigmoid_raw(gates[..., : 3 * d])
     i, f, o = ifo[..., :d], ifo[..., d : 2 * d], ifo[..., 2 * d :]
@@ -259,37 +225,34 @@ def lstm_step(cell: LstmParams, parts, h: Tensor, c: Tensor) -> tuple[Tensor, Te
         dgates[..., 3 * d :] *= 1.0 - g * g
         dx = dgates @ w_ih.data.T
         g_parts, start = [], 0
-        for x_part, s in zip(datas, shared):
-            stop = start + x_part.shape[-1]
-            g_parts.append(_lead_sum(dx[..., start:stop]) if s else dx[..., start:stop])
+        for p in parts:
+            stop = start + p.data.shape[-1]
+            g_parts.append(dx[..., start:stop])
             start = stop
-        return (*g_parts, dgates @ w_hh.data.T, gc * f, (x, dgates), (h.data, dgates), _lead_sum(dgates))
+        return (*g_parts, dgates @ w_hh.data.T, gc * f, (x, dgates), (h.data, dgates), dgates.sum(axis=0))
 
     return ad.primitive((*parts, h, c, w_ih, w_hh, bias), (o * tanh_c, c_new), bwd)
 
 
 def attention_query_step(params: DecoderParams, state: DecoderState, fused: Tensor, w_prev) -> tuple[Tensor, Tensor]:
     """Query cell: consumes [fused scene; previous word; previous
-    language hidden] and advances the query LSTM.  One scene vector (d,)
-    is shared by the rows of a batched state; a pack gives one per row
-    (K, d).  ``w_prev`` is an ``lstm_step`` part: the embedding, or the
-    pair (embedding table, previous ids)."""
+    language hidden] and advances the query LSTM.  ``fused`` holds each
+    row's scene vector (K, d); ``w_prev`` is an ``lstm_step`` part: the
+    embeddings, or the pair (embedding table, previous ids)."""
     return lstm_step(params.att_cell, [fused, w_prev, state.h_lang], state.h_att, state.c_att)
 
 
-def content_attention(
-    params: DecoderParams, x_nodes: Tensor, h_query: Tensor, mask: np.ndarray | None = None
-) -> Tensor:
-    """softmax over slots of w_c . tanh(X W_x + h W_h), as one primitive.
-    Slots where the boolean ``mask`` (a pack's padding) is false get
-    exactly zero attention, and so zero adjoints."""
+def content_attention(params: DecoderParams, x_nodes: Tensor, h_query: Tensor, mask: np.ndarray) -> Tensor:
+    """softmax over slots of w_c . tanh(X W_x + h W_h) plus ``mask``, as
+    one primitive.  The additive mask (K, S) is 0 on a row's own slots
+    and -inf on a pack's padding, which so gets exactly zero attention
+    and zero adjoints."""
     wx, wh, ws = params.content_wx, params.content_wh, params.content_score
     hidden = np.tanh(x_nodes.data @ wx.data + (h_query.data @ wh.data)[..., None, :])
-    scores = hidden @ ws.data
-    alpha = _softmax_raw(scores if mask is None else np.where(mask, scores, -np.inf))
+    alpha = _softmax_raw(hidden @ ws.data + mask)
 
     def bwd(g):
-        dscores = alpha * (g - _dot(g, alpha))
+        dscores = alpha * (g - np.vecdot(g, alpha, keepdims=True))
         dpre = dscores[..., None] * ws.data * (1.0 - hidden * hidden)
         dh = dpre.sum(axis=-2)
         return (
@@ -303,77 +266,66 @@ def content_attention(
     return ad.primitive((x_nodes, h_query, wx, wh, ws), alpha, bwd)
 
 
-def _transport(m: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Each row of ``a`` moved one step along the flow (``m @ a``): by
-    one matrix (S, S) shared by the rows, or by its own of a (K, S, S)
-    stack."""
-    return a @ m.T if m.ndim == 2 else (m @ a[..., None])[..., 0]
-
-
-def _transport_adjoint(m: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """``g @ m`` of each row: the adjoint of ``_transport`` in ``a``."""
-    return g @ m if m.ndim == 2 else (g[..., None, :] @ m)[..., 0, :]
-
-
 def _renormalize(moved: np.ndarray, fallback: np.ndarray):
-    """Scale each row back to a distribution; a row whose transported
-    mass vanishes keeps its previous attention (``fallback``).  Returns
-    (distribution, mass, kept): mass and kept are (..., 1) columns, and
-    kept is None when no row vanished."""
+    """Scale each transported distribution of ``moved`` (n, K, S) back to
+    one, in place; one whose mass vanishes becomes its row's previous
+    attention (``fallback``, (K, S)) instead.  Returns (mass, kept), both
+    (n, K, 1); kept is None when nothing vanished."""
     mass = moved.sum(axis=-1, keepdims=True)
-    if (mass.item() if mass.size == 1 else mass.min()) >= 1e-12:
-        return moved / mass, mass, None
+    if min(mass.ravel().tolist()) >= 1e-12:  # a few floats: cheaper than a numpy min
+        moved /= mass
+        return mass, None
     kept = mass >= 1e-12
     mass = np.where(kept, mass, 1.0)
-    return np.where(kept, moved / mass, fallback), mass, kept
+    moved[:] = np.where(kept, moved / mass, fallback)
+    return mass, kept
 
 
 def _renormalize_adjoint(g: np.ndarray, dist: np.ndarray, mass, kept):
     """Adjoints of ``_renormalize`` with respect to the moved mass and
-    to the fallback."""
-    g_moved = (g - _dot(g, dist)) / mass
+    to the fallback (summed over the n distributions)."""
+    g_moved = (g - np.vecdot(g, dist, keepdims=True)) / mass
     if kept is None:
         return g_moved, 0.0
-    return np.where(kept, g_moved, 0.0), np.where(kept, 0.0, g)
+    return np.where(kept, g_moved, 0.0), np.where(kept, 0.0, g).sum(axis=0)
 
 
 def flow_attention(
     params: DecoderParams,
-    fg: FlowGraph | np.ndarray,
+    flow: np.ndarray,
     alpha_prev: Tensor,
     h_query: Tensor,
     z_prev: Tensor,
 ) -> tuple[Tensor, Tensor]:
     """Returns (flow attention, mode distribution s over stay/1-hop/2-hop),
-    both outputs of one primitive.
+    both outputs of one primitive.  Each row moves along its own matrix
+    of the (K, S, S) stack ``flow``.
 
-    The three transports share the matrix products: the un-normalized
-    1-hop result feeds the 2-hop product before either is renormalized.
-    The flow graph's matrix is shared by the rows of a batched state; a
-    pack passes a (K, S, S) stack of matrices, one per row.
+    The un-normalized 1-hop result feeds the 2-hop product, and both are
+    renormalized together; the output is the mode-weighted sum of the
+    three distributions.
     """
     wh, wz, wm = params.flow_wh, params.flow_wz, params.flow_mode
-    m = fg.matrix if isinstance(fg, FlowGraph) else fg
     a = alpha_prev.data
     lin = h_query.data @ wh.data + z_prev.data @ wz.data
     pre = np.maximum(lin, 0.0)
     modes = _softmax_raw(pre @ wm.data)
-    m0, m1, m2 = modes.tolist() if modes.ndim == 1 else modes.T[..., None]
-    moved1 = _transport(m, a)
-    moved2 = _transport(m, moved1)
-    t1, mass1, kept1 = _renormalize(moved1, a)
-    t2, mass2, kept2 = _renormalize(moved2, a)
-    total = m0 * a + m1 * t1 + m2 * t2
+    hops = np.empty((3,) + a.shape)  # each row's attention kept, moved one hop and two
+    hops[0] = a
+    hops[1] = np.matvec(flow, a)
+    hops[2] = np.matvec(flow, hops[1])
+    mass, kept = _renormalize(hops[1:], a)
+    m = modes.T[..., None]  # (3, K, 1)
+    total = (m * hops).sum(axis=0)
 
     def bwd(g, g_modes):
-        g_modes = g_modes + np.hstack([_dot(g, a), _dot(g, t1), _dot(g, t2)])
-        g_moved2, g_a2 = _renormalize_adjoint(m2 * g, t2, mass2, kept2)
-        g_moved1, g_a1 = _renormalize_adjoint(m1 * g, t1, mass1, kept1)
-        g_moved1 = g_moved1 + _transport_adjoint(m, g_moved2)
-        g_logits = modes * (g_modes - _dot(g_modes, modes))
+        g_modes = g_modes + np.vecdot(hops, g).T
+        g_moved, g_kept = _renormalize_adjoint(m[1:] * g, hops[1:], mass, kept)
+        g_moved1 = g_moved[0] + np.vecmat(g_moved[1], flow)
+        g_logits = modes * (g_modes - np.vecdot(g_modes, modes, keepdims=True))
         dpre = (g_logits @ wm.data.T) * (lin > 0)
         return (
-            m0 * g + g_a2 + g_a1 + _transport_adjoint(m, g_moved1),
+            m[0] * g + g_kept + np.vecmat(g_moved1, flow),
             dpre @ wh.data.T,
             dpre @ wz.data.T,
             (h_query.data, dpre),
@@ -406,9 +358,9 @@ def fuse_and_context(
         a = alpha.data
 
         def bwd_context(g):
-            return _attend_adjoint(x, g), a[..., None] * g[..., None, :]
+            return np.matvec(x, g), a[..., None] * g[..., None, :]
 
-        return alpha, ad.primitive((alpha, x_nodes), _attend(a, x), bwd_context), None
+        return alpha, ad.primitive((alpha, x_nodes), np.vecmat(a, x), bwd_context), None
     wh, wz, wg = params.fuse_wh, params.fuse_wz, params.fuse_gate
     ac, af = alpha_content.data, alpha_flow.data
     lin = h_query.data @ wh.data + z_prev.data @ wz.data
@@ -417,8 +369,8 @@ def fuse_and_context(
     alpha = beta * ac + (1.0 - beta) * af
 
     def bwd(g_alpha, g_context, g_beta):
-        g_alpha = g_alpha + _attend_adjoint(x, g_context)
-        g_gate = (g_beta + _dot(g_alpha, ac - af)) * beta * (1.0 - beta)
+        g_alpha = g_alpha + np.matvec(x, g_context)
+        g_gate = (g_beta + np.vecdot(g_alpha, ac - af, keepdims=True)) * beta * (1.0 - beta)
         dpre = wg.data * g_gate * (lin > 0)
         return (
             beta * g_alpha,
@@ -428,12 +380,12 @@ def fuse_and_context(
             alpha[..., None] * g_context[..., None, :],
             (h_query.data, dpre),
             (z_prev.data, dpre),
-            _lead_sum(pre * g_gate),
+            (pre, g_gate),
         )
 
     return ad.primitive(
         (alpha_content, alpha_flow, h_query, z_prev, x_nodes, wh, wz, wg),
-        (alpha, _attend(alpha, x), beta),
+        (alpha, np.vecmat(alpha, x), beta),
         bwd,
     )
 
@@ -456,16 +408,16 @@ def output_log_probs(params: DecoderParams, h: np.ndarray) -> np.ndarray:
 
 def output_loss(params: DecoderParams, h_rows: list[Tensor], targets) -> Tensor:
     """Mean cross entropy of ``targets[t]`` under the output layer at
-    the language state ``h_rows[t]``: the states stacked into one
-    (T, d) @ (d, V) product, its log-softmax and the loss as one
-    primitive."""
+    the one-row language state ``h_rows[t]`` (1, d): the states stacked
+    into one (T, d) @ (d, V) product, its log-softmax and the loss as
+    one primitive."""
     w, b = params.w_out, params.b_out
-    h = np.stack([r.data for r in h_rows])
+    h = np.concatenate([r.data for r in h_rows])
     value, dlogits = _picked_nll(output_log_probs(params, h), targets)
 
     def bwd(g):
         dl = dlogits(g)
-        return (*(dl @ w.data.T), (h, dl), dl.sum(axis=0))
+        return (*(dl @ w.data.T)[..., None, :], (h, dl), dl.sum(axis=0))
 
     return ad.primitive((*h_rows, w, b), value, bwd)
 
@@ -492,21 +444,21 @@ def graph_update(
     keep = 1.0 - u * erase
 
     def bwd(g, g_sentinel):
-        g_u = (g * (added - x * erase)).sum(axis=-1)
+        g_u = np.vecdot(g, added - x * erase)
         g_erase = -g * x * u * erase * (1.0 - erase)
         g_add = g * u * (add_lin > 0)
         g_paired = g_erase @ ew.data.T + g_add @ aw.data.T
-        g_gate = (g_sentinel + _dot(g_u, a)) * sentinel * (1.0 - sentinel)
+        g_gate = (g_sentinel + np.vecdot(g_u, a, keepdims=True)) * sentinel * (1.0 - sentinel)
         return (
             g * keep + g_paired[..., dim:],
             g_paired[..., :dim].sum(axis=-2) + sw.data * g_gate,
             sentinel * g_u,
-            _lead_sum(h * g_gate),
-            _lead_sum(g_gate),
+            (h, g_gate),
+            g_gate.sum(axis=0),
             (paired, g_erase),
-            _lead_sum(g_erase),
+            g_erase.sum(axis=(0, 1)),
             (paired, g_add),
-            _lead_sum(g_add),
+            g_add.sum(axis=(0, 1)),
         )
 
     return ad.primitive(
@@ -536,38 +488,38 @@ class _Search:
     beams: list[Hypothesis]
 
 
-def _take(state: DecoderState, rows: np.ndarray) -> DecoderState:
-    """The packed state of some rows of a state (an unbatched state is
-    one row)."""
-    batched = state.alpha.data.ndim == 2
-    taken = []
-    for f in fields(DecoderState):
-        d = getattr(state, f.name).data
-        taken.append(ad.tensor((d if batched else d[None])[rows]))
-    return DecoderState(*taken)
+def _take(state: DecoderState, pack, rows: list[int]):
+    """The rows ``rows`` (a row may repeat) of a state and of the pack
+    rows it steps with; the same objects when ``rows`` is every row in
+    order."""
+    if rows == list(range(len(state.alpha.data))):
+        return state, pack
+    index = np.array(rows)
+    taken = [ad.tensor(getattr(state, f.name).data[index]) for f in fields(DecoderState)]
+    return DecoderState(*taken), pack.rows(index)
 
 
 def beam_search(model, requests, max_len: int, eos_id: int | None = None) -> list[list[Hypothesis]]:
     """Standard beam expansion over the model's step distribution, for a
     pack of requests ``(graph, feats, width)`` searched together.
 
-    Each unfinished hypothesis is one row of a packed decoder state (the
-    node embeddings evolve per hypothesis), and the rows of every
-    request advance by one ``model.step`` call per search step; finished
-    ones are carried without stepping.  Each distinct graph (the same
-    graph and feature objects) is prepared once.  A pack of one graph
-    steps with its own prepared inputs (a lone live row keeps the
-    unbatched shapes, always so for one request at width 1); a pack of
-    several steps with the rows of ``model.pack``, each row reading its
-    own graph's scene vector, flow matrix and slot mask.  Each request
-    keeps its own top-``width`` bookkeeping, and identical requests are
-    searched once.
+    Each unfinished hypothesis is one row of the decoder state (the node
+    embeddings evolve per hypothesis), and the rows of every request
+    advance by one ``model.step`` call per search step; finished ones
+    are carried without stepping.  Each distinct graph (the same graph
+    and feature objects) is prepared once, and the prepared graphs are
+    joined into one pack (``model.pack``).  Each row steps with its own
+    graph's row of the pack: its scene vector, flow matrix and slot
+    mask, gathered with the state's rows whenever the live rows change.
+    One request at width 1 (greedy decoding) steps one row throughout.
+    Each request keeps its own top-``width`` bookkeeping, and identical
+    requests are searched once.
 
     Returns one list of hypotheses (tokens and score) per request,
     sorted by total log-probability with no length normalization;
     identical requests share their hypotheses.  ``model`` must provide
     ``prepare``, ``pack``, ``initial_state`` and ``step`` (see
-    CaptionModel).
+    CaptionModel), and its packs ``rows``.
     """
     prepared, graph_of, search_of, order = [], {}, {}, []
     for g, feats, width in requests:
@@ -583,24 +535,16 @@ def beam_search(model, requests, max_len: int, eos_id: int | None = None) -> lis
             search = search_of[key] = _Search(width, graph, [Hypothesis([], 0.0, False)])
         order.append(search)
 
-    one_graph = len(prepared) == 1
-    pack = prepared[0] if one_graph else model.pack(prepared)
-    state = model.initial_state(pack)  # the packed rows of the live hypotheses
+    pack = model.pack(prepared)
     live = list(search_of.values())
-    if len(live) > 1:  # one row per search, not per graph
-        state = _take(state, np.array([s.graph for s in live]))
+    # the rows of the live hypotheses: one per search to start
+    state, pack = _take(model.initial_state(pack), pack, [s.graph for s in live])
     bos = model.bos_id
     width = max(s.width for s in live)
 
     for _ in range(max_len):
         prev = [h.tokens[-1] if h.tokens else bos for s in live for h in s.beams if not h.finished]
-        if one_graph:
-            step_pack = pack
-        else:  # each row reads its own graph's inputs
-            step_pack = pack.rows(np.array([s.graph for s in live for h in s.beams if not h.finished]))
-        batched = state.alpha.data.ndim == 2
-        stepped, log_probs = model.step(step_pack, state, np.array(prev) if batched else prev[0])
-        log_probs = log_probs.reshape(len(prev), -1)
+        stepped, log_probs = model.step(pack, state, np.array(prev))
         top = np.argsort(log_probs, axis=1)[:, ::-1][:, :width]
         rows, still_live, row = [], [], 0
         for s in live:
@@ -631,5 +575,5 @@ def beam_search(model, requests, max_len: int, eos_id: int | None = None) -> lis
         if not rows:
             break
         live = still_live
-        state = stepped if rows == list(range(len(prev))) else _take(stepped, np.array(rows))
+        state, pack = _take(stepped, pack, rows)
     return [list(s.beams) for s in order]

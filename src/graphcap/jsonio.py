@@ -8,12 +8,14 @@ line turns into exit status 2.
 from __future__ import annotations
 
 import json
+import numbers
 from contextlib import contextmanager
+from dataclasses import fields
 from pathlib import Path
 
 from .errors import ShapeError
 
-__all__ = ["read_json", "read_jsonl", "decoding"]
+__all__ = ["read_json", "read_jsonl", "decoding", "check_field_types"]
 
 # what decoding a malformed document raises: bad JSON or bytes
 # (ValueError), a missing key (KeyError), a wrong type (TypeError,
@@ -51,3 +53,20 @@ def read_jsonl(path: str | Path) -> list[tuple[str, object]]:
             with decoding(where):
                 out.append((where, json.loads(line)))
     return out
+
+
+# the value each annotated field type admits; a bool is an int to
+# Python, but no count and no real number here
+_FIELD_KINDS = {"int": numbers.Integral, "float": numbers.Real, "bool": bool}
+
+
+def check_field_types(config) -> None:
+    """Raise ``ShapeError`` unless every ``int``, ``float`` and ``bool``
+    field of the dataclass ``config`` holds a value of its type: a bool
+    for a switch, and a number that is not a bool for a count (an
+    integer) or a real."""
+    for f in fields(config):
+        kind = _FIELD_KINDS.get(f.type)
+        value = getattr(config, f.name)
+        if kind is not None and not (isinstance(value, kind) and isinstance(value, bool) == (kind is bool)):
+            raise ShapeError(f"{type(config).__name__}.{f.name} must be {f.type}, got {value!r}")

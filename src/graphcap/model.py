@@ -2,16 +2,17 @@
 
 The model owns all parameters, the vocabulary, and the component
 switches.  A forward pass prepares a graph once (node embeddings, fused
-scene vector, flow graph) and then steps the decoder token by token;
-the same step function serves teacher-forced training, greedy decoding,
+scene vector, flow matrix) as a pack of one row, and then steps the
+decoder token by token.  The same step function serves teacher-forced
+training, greedy decoding and the attention trace, which step one row,
 and beam search, which steps all its live hypotheses at once as the
-rows of one batched state.  The output layer is outside the step:
-decoding applies it to each step's rows, and the training loss applies
-it once to the language states of the whole caption, fused with the
-cross entropy in one primitive.  Beam search also packs the requests of
-several graphs into one search (``caption_pack``): each graph's
-prepared inputs are zero-padded to the pack's most slots and become
-rows of one ``Prepared`` with a slot mask (``CaptionModel.pack``).
+rows of one state.  Every state and pack has K rows; there is no other
+form.  The output layer is outside the step: decoding applies it to
+each step's rows, and the training loss applies it once to the language
+states of the whole caption, fused with the cross entropy in one
+primitive.  Beam search also joins the packs of several graphs into one
+search (``caption_pack``): each graph's slots are zero-padded to the
+pack's most slots and masked (``CaptionModel.pack``).
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from .autodiff import Tensor
 from .encoder import FeatureBundle, aggregation_matrices, encode, init_encoder_params
 from .errors import ShapeError
 from .grammar import Vocab
-from .graph import FlowGraph, SceneGraph, build_flow, build_multirel
+from .jsonio import check_field_types
+from .graph import SceneGraph, build_flow, build_multirel
 from .decoder import DecoderState, init_decoder_params
 
 __all__ = ["ModelConfig", "Prepared", "CaptionModel"]
@@ -45,35 +47,34 @@ class ModelConfig:
     use_graph_update: bool = True
 
     def __post_init__(self):
+        check_field_types(self)
         if not (self.use_content_attention or self.use_flow_attention):
             raise ShapeError("at least one attention branch must stay enabled")
-        if self.dim < 1 or self.n_layers < 0:
+        if self.dim < 1 or self.n_layers < 0 or self.max_attrs < 0:
             raise ShapeError("bad model dimensions")
 
 
 @dataclass
 class Prepared:
-    """Per-input encoder outputs shared by all decode steps: the slot
-    embeddings ``x_enc`` (S, d), the fused scene vector ``fused`` (d,)
-    and the flow graph, shared by every row of a batched state.
-
-    A pack of several graphs (``CaptionModel.pack``) has one graph per
-    row instead: ``x_enc`` (K, S, d), ``fused`` (K, d), ``flow`` a
-    (K, S, S) stack of transition matrices and ``mask`` (K, S), true on
-    each row's own slots.  S is the pack's most slots, and every slot
-    past a graph's own is zero.
+    """Encoder outputs of the K rows of a pack, shared by all decode
+    steps: the slot embeddings ``x_enc`` (K, S, d), the fused scene
+    vectors ``fused`` (K, d), the flow matrices ``flow`` (K, S, S) and
+    the additive slot masks ``mask`` (K, S), 0 on a row's own slots and
+    -inf past them.  ``CaptionModel.prepare`` gives a pack of one graph;
+    ``CaptionModel.pack`` joins packs, and S is then the most slots of
+    any of them, every slot past a graph's own being zero.
     """
 
     x_enc: Tensor
     fused: Tensor
-    flow: FlowGraph | np.ndarray
-    mask: np.ndarray | None = None
+    flow: np.ndarray
+    mask: np.ndarray
 
     def rows(self, index: np.ndarray) -> Prepared:
-        """The rows ``index`` of a pack, in that order (a row may
-        repeat)."""
-        x_enc, fused = ad.tensor(self.x_enc.data[index]), ad.tensor(self.fused.data[index])
-        return Prepared(x_enc, fused, self.flow[index], self.mask[index])
+        """The step inputs of the rows ``index``, in that order (a row
+        may repeat).  ``x_enc`` is kept as it is: only ``initial_state``
+        reads it, and a state carries its rows' slot embeddings."""
+        return Prepared(self.x_enc, ad.tensor(self.fused.data[index]), self.flow[index], self.mask[index])
 
 
 class CaptionModel:
@@ -108,7 +109,9 @@ class CaptionModel:
     # -- forward ------------------------------------------------------------
 
     def prepare(self, g: SceneGraph, feats: FeatureBundle) -> Prepared:
-        flow, mrg, agg = _graph_structures(g.nodes, g.edges)
+        """The encoder outputs of one graph, as a pack of one row (the
+        lift is one tape entry, so the pack stays differentiable)."""
+        flow, mask, mrg, agg = _graph_structures(g.nodes, g.edges)
         x_enc, fused = encode(
             g,
             feats,
@@ -118,35 +121,41 @@ class CaptionModel:
             mrg=mrg,
             agg=agg,
         )
-        return Prepared(x_enc=x_enc, fused=fused, flow=flow)
+        x_enc, fused = ad.primitive((x_enc, fused), (x_enc.data[None], fused.data[None]), lambda gx, gf: (gx[0], gf[0]))
+        return Prepared(x_enc, fused, flow, mask)
 
-    def pack(self, graphs: list[Prepared]) -> Prepared:
-        """Prepared graphs as the rows of one pack, zero-padded to the
-        most slots of any of them."""
-        n_slots = max(p.flow.n_slots for p in graphs)
-        x = np.zeros((len(graphs), n_slots, self.config.dim))
-        flow = np.zeros((len(graphs), n_slots, n_slots))
-        mask = np.zeros((len(graphs), n_slots), dtype=bool)
-        for row, p in enumerate(graphs):
-            own = p.flow.n_slots
-            x[row, :own] = p.x_enc.data
-            flow[row, :own, :own] = p.flow.matrix
-            mask[row, :own] = True
-        return Prepared(ad.tensor(x), ad.tensor(np.stack([p.fused.data for p in graphs])), flow, mask)
+    def pack(self, packs: list[Prepared]) -> Prepared:
+        """Packs joined into one: their rows in order, each zero-padded
+        to the most slots of any of them.  A lone pack is itself (every
+        single-request decode)."""
+        if len(packs) == 1:
+            return packs[0]
+        n_slots = max(p.mask.shape[1] for p in packs)
+        rows = sum(len(p.mask) for p in packs)
+        x = np.zeros((rows, n_slots, self.config.dim))
+        flow = np.zeros((rows, n_slots, n_slots))
+        mask = np.full((rows, n_slots), -np.inf)
+        row = 0
+        for p in packs:
+            k, own = p.mask.shape
+            x[row : row + k, :own] = p.x_enc.data
+            flow[row : row + k, :own, :own] = p.flow
+            mask[row : row + k, :own] = p.mask
+            row += k
+        return Prepared(ad.tensor(x), ad.tensor(np.concatenate([p.fused.data for p in packs])), flow, mask)
 
     def initial_state(self, prepared: Prepared) -> DecoderState:
         return dec.init_state(prepared.x_enc, prepared.flow)
 
-    def _step(self, prepared: Prepared, state: DecoderState, prev_id):
-        """Advance one decode step: returns (new state, flow modes,
-        fusion gate, sentinel); each of the last three is None when its
-        component is switched off.  ``prev_id`` is an int for an
-        unbatched state, or an int array of K ids for a state whose
-        fields carry a leading axis of K rows (see beam_search); with a
-        pack's rows as ``prepared``, row k reads row k's graph.  The
-        next word's distribution is read off ``new_state.h_lang``."""
+    def _step(self, prepared: Prepared, state: DecoderState, prev_ids: np.ndarray):
+        """Advance one decode step of the K rows of ``state``, row k
+        reading row k of ``prepared`` and the previous word
+        ``prev_ids[k]`` (an int array of K ids).  Returns (new state,
+        flow modes, fusion gate, sentinel); each of the last three is
+        None when its component is switched off.  The next word's
+        distribution is read off ``new_state.h_lang``."""
         p = self.decoder
-        h_att, c_att = dec.attention_query_step(p, state, prepared.fused, (p.word_emb, prev_id))
+        h_att, c_att = dec.attention_query_step(p, state, prepared.fused, (p.word_emb, prev_ids))
 
         alpha_c = (
             dec.content_attention(p, state.x_nodes, h_att, prepared.mask)
@@ -177,12 +186,12 @@ class CaptionModel:
         )
         return new_state, modes, beta, sentinel
 
-    def step(self, prepared: Prepared, state: DecoderState, prev_id):
-        """Decoding-facing step: returns the fresh state that ``_step``
-        built (no primitive writes into its inputs, so states are never
-        shared mutably) and the next word's log-probabilities as an
-        array, with one row per state row when batched."""
-        new_state, *_ = self._step(prepared, state, prev_id)
+    def step(self, prepared: Prepared, state: DecoderState, prev_ids: np.ndarray):
+        """Decoding-facing step over an int array of K previous ids:
+        returns the fresh state that ``_step`` built (no primitive writes
+        into its inputs, so states are never shared mutably) and the
+        next word's log-probabilities (K, V), one row per state row."""
+        new_state, *_ = self._step(prepared, state, prev_ids)
         return new_state, dec.output_log_probs(self.decoder, new_state.h_lang.data)
 
     # -- training loss ------------------------------------------------------
@@ -190,15 +199,14 @@ class CaptionModel:
     def loss(self, g: SceneGraph, feats: FeatureBundle, caption_ids: list[int]) -> tuple[Tensor, int]:
         """Teacher-forced mean cross entropy per target token (the
         caption plus the end token): the decode step runs once per
-        token, and the output layer and the loss run once, over the
-        stacked language states."""
+        token on one row, and the output layer and the loss run once,
+        over the stacked language states."""
         prepared = self.prepare(g, feats)
         state = self.initial_state(prepared)
-        inputs = [self.bos_id] + list(caption_ids)
         targets = list(caption_ids) + [self.eos_id]
         h_rows = []
-        for prev_id in inputs:
-            state, *_ = self._step(prepared, state, prev_id)
+        for prev_ids in np.array([self.bos_id] + list(caption_ids))[:, None]:
+            state, *_ = self._step(prepared, state, prev_ids)
             h_rows.append(state.h_lang)
         return dec.output_loss(self.decoder, h_rows, targets), len(targets)
 
@@ -226,9 +234,11 @@ class CaptionModel:
 
 @lru_cache(maxsize=512)
 def _graph_structures(nodes, edges):
-    """Flow graph and relational aggregation are pure functions of the
-    structure; cache them across the repeated passes of training,
-    decoding, and gradient checking."""
+    """The flow matrix and slot mask of a pack of one, and the relational
+    aggregation, are pure functions of the structure; cache them across
+    the repeated passes of training, decoding, and gradient checking."""
     g = SceneGraph(nodes=nodes, edges=edges)
-    mrg = build_multirel(g)
-    return build_flow(g), mrg, aggregation_matrices(mrg)
+    flow, mrg = build_flow(g), build_multirel(g)
+    matrix, mask = flow.matrix[None], np.zeros((1, flow.n_slots))
+    matrix.flags.writeable = mask.flags.writeable = False  # shared by every caller
+    return matrix, mask, mrg, aggregation_matrices(mrg)

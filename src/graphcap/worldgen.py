@@ -27,7 +27,7 @@ from .encoder import FeatureBundle
 from .errors import InvalidGraphError, NoRelationshipsError, ShapeError
 from .grammar import Grammar
 from .graph import Node, NodeRole, SceneGraph, sample_subgraph, validate_asg
-from .jsonio import decoding, read_json, read_jsonl
+from .jsonio import check_field_types, decoding, read_json, read_jsonl
 
 __all__ = [
     "WorldConfig",
@@ -63,6 +63,7 @@ class WorldConfig:
     prototype_seed: int = 7
 
     def __post_init__(self):
+        check_field_types(self)
         if min(self.n_object_classes, self.n_attr_classes, self.n_rel_classes) < 2:
             raise ValueError("class counts must be >= 2")
         if self.noise < 0:
@@ -88,7 +89,7 @@ def read_world(path: str | Path) -> WorldConfig:
     raises ``ShapeError``, as malformed JSON does."""
     try:
         return WorldConfig.from_json(read_json(path))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ShapeError) as exc:
         raise ShapeError(f"bad world config {path}: {exc}") from None
 
 

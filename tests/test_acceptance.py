@@ -160,23 +160,24 @@ def test_02_attention_laws():
         g = graphs[rng.integers(len(graphs))]
         fg = build_flow(g)
         for _ in range(25):
-            x = ad.tensor(rng.normal(size=(fg.n_slots, d)))
-            h = ad.tensor(rng.normal(size=d))
-            z = ad.tensor(rng.normal(size=d))
-            raw = rng.random(fg.n_slots) + 1e-9
+            # one row (K = 1) of each input
+            x = ad.tensor(rng.normal(size=(1, fg.n_slots, d)))
+            h = ad.tensor(rng.normal(size=(1, d)))
+            z = ad.tensor(rng.normal(size=(1, d)))
+            raw = rng.random((1, fg.n_slots)) + 1e-9
             alpha_prev = ad.tensor(raw / raw.sum())
 
-            a_c = content_attention(params, x, h)
-            a_f, modes = flow_attention(params, fg, alpha_prev, h, z)
+            a_c = content_attention(params, x, h, np.zeros((1, fg.n_slots)))
+            a_f, modes = flow_attention(params, fg.matrix[None], alpha_prev, h, z)
             a_t, _, beta = fuse_and_context(params, a_c, a_f, h, z, x)
             for vec in (a_c.data, a_f.data, a_t.data):
                 worst = max(worst, abs(vec.sum() - 1.0))
                 if vec.min() < 0 or abs(vec.sum() - 1.0) > 1e-9:
                     ok = False
             s = modes.data
-            if s.min() < 0 or abs(s.sum() - 1.0) > 1e-9 or s.shape != (3,):
+            if s.min() < 0 or abs(s.sum() - 1.0) > 1e-9 or s.shape != (1, 3):
                 ok = False
-            b = float(beta.data[0])
+            b = float(beta.data[0, 0])
             if not (0.0 < b < 1.0):
                 ok = False
             steps += 1
@@ -241,19 +242,19 @@ def test_04_graph_update_locality():
         if step % 2 == 0:
             params.sentinel_b = ad.parameter(np.array([-1000.0]))  # sentinel exactly 0
         n_slots = int(rng.integers(2, 8))
-        x = ad.tensor(rng.normal(size=(n_slots, d)))
+        x = ad.tensor(rng.normal(size=(1, n_slots, d)))  # one row (K = 1)
         mask = rng.random(n_slots) < 0.5
         if not mask.any():
             mask[0] = True
         raw = rng.random(n_slots) * mask
-        alpha = ad.tensor(raw / raw.sum())
-        h = ad.tensor(rng.normal(size=d))
+        alpha = ad.tensor([raw / raw.sum()])
+        h = ad.tensor(rng.normal(size=(1, d)))
         x_new, sentinel = graph_update(params, x, h, alpha)
-        u = sentinel.data[0] * alpha.data
+        u = sentinel.data[0, 0] * alpha.data[0]
         for i in range(n_slots):
             if u[i] == 0.0:
                 checked_slots += 1
-                if not np.array_equal(x_new.data[i], x.data[i]):
+                if not np.array_equal(x_new.data[0, i], x.data[0, i]):
                     ok = False
     report(4, "zero-intensity slots bit-identical across 1000 updates", ok,
            f"{checked_slots} zero-intensity slots checked")

@@ -20,7 +20,7 @@ from graphcap import encoder as enc
 from graphcap.errors import NumericError, ShapeError
 from graphcap.gradcheck import grad_check
 from graphcap.grammar import Vocab
-from graphcap.graph import FlowGraph, Node, NodeRole, SceneGraph, build_flow, build_multirel, sample_subgraph
+from graphcap.graph import Node, NodeRole, SceneGraph, build_flow, build_multirel, sample_subgraph
 from graphcap.model import CaptionModel, ModelConfig
 from graphcap.optim import OptimizerState, adam_step
 from graphcap.worldgen import WorldConfig, full_scene_graph, gen_scene, make_triplet
@@ -310,10 +310,11 @@ class TestFactorForm:
             np.testing.assert_allclose(g2, 2.0 * g1, rtol=1e-12, atol=0.0)
         assert np.all(once[0][[0, 1, 3]] == 0.0)
 
-    def test_tier1_loss_tape_has_59_entries(self):
+    def test_tier1_loss_tape_has_60_entries(self):
         # the instance of test_01_gradient_fidelity: 9 encoder entries
-        # (2 R-GCN layers), 7 decode steps of 7 entries, and one entry
-        # for the output layer and the loss
+        # (2 R-GCN layers), one lifting the encoder outputs to a pack of
+        # one row, 7 decode steps of 7 entries, and one entry for the
+        # output layer and the loss
         world = WorldConfig(dim=16, n_object_classes=2, n_attr_classes=2, n_rel_classes=2)
         rng = np.random.default_rng(1)
         scene = gen_scene(world, rng)
@@ -325,7 +326,7 @@ class TestFactorForm:
         model = CaptionModel(ModelConfig(dim=16, n_layers=2), vocab, seed=1)
         with ad.record() as tape:
             model.loss(graph, feats, ids)
-        assert len(tape) == 59
+        assert len(tape) == 60
 
 
 class TestAdjointsMatchFiniteDifferences:
@@ -358,106 +359,110 @@ def weighted_sum(outputs, rng):
     return total
 
 
-def _rows(k):
-    """The leading shape of a batched input: none, or k rows."""
-    return () if k is None else (k,)
+def _chain_flows(k):
+    """The chain graph's flow matrix for each of ``k`` rows."""
+    return np.repeat(build_flow(chain_graph()).matrix[None], k, axis=0)
 
 
-def _lstm(rng, d=3, k=None):
+def _lstm(rng, d=3, k=1):
     cell = dec.LstmParams(*(ad.parameter(rng.normal(size=s)) for s in ((2 * d, 4 * d), (d, 4 * d), (4 * d,))))
-    x, h, c = (ad.parameter(rng.normal(size=_rows(k) + (n,))) for n in (2 * d, d, d))
+    x, h, c = (ad.parameter(rng.normal(size=(k, n))) for n in (2 * d, d, d))
     return lambda: dec.lstm_step(cell, [x], h, c), [x, h, c, cell.w_ih, cell.w_hh, cell.bias]
 
 
-def _lstm_parts(rng, d=3, k=None):
-    # three input parts: a vector shared by every row, rows looked up in
-    # a table (row 2 twice when batched) and a tensor of the state's rows
+def _lstm_parts(rng, d=3, k=1):
+    # three input parts: a tensor of the state's rows, rows looked up in
+    # a table (row 2 twice when K=3) and another tensor of rows
     cell = dec.LstmParams(*(ad.parameter(rng.normal(size=s)) for s in ((3 * d + 1, 4 * d), (d, 4 * d), (4 * d,))))
-    shared, table = ad.parameter(rng.normal(size=d - 1)), ad.parameter(rng.normal(size=(4, d)))
-    x, h, c = (ad.parameter(rng.normal(size=_rows(k) + (n,))) for n in (d + 2, d, d))
-    key = 2 if k is None else np.array([2, 0, 2])
+    scene, table = ad.parameter(rng.normal(size=(k, d - 1))), ad.parameter(rng.normal(size=(4, d)))
+    x, h, c = (ad.parameter(rng.normal(size=(k, n))) for n in (d + 2, d, d))
+    key = np.array([2, 0, 2])[:k]
     return (
-        lambda: dec.lstm_step(cell, [shared, (table, key), x], h, c),
-        [shared, table, x, h, c, cell.w_ih, cell.w_hh, cell.bias],
+        lambda: dec.lstm_step(cell, [scene, (table, key), x], h, c),
+        [scene, table, x, h, c, cell.w_ih, cell.w_hh, cell.bias],
     )
 
 
-def _query(rng, d=3, k=None, scene_rows=None):
-    # the scene vector is shared by every row, or one per row in a pack
+def _query(rng, d=3, k=1):
+    # one scene vector per row
     p = dec.init_decoder_params(d, 5, rng)
-    state = dec.init_state(ad.tensor(rng.normal(size=(5, d))), build_flow(chain_graph()))
-    h_lang, h_att, c_att, w_prev = (ad.parameter(rng.normal(size=_rows(k) + (d,))) for _ in range(4))
+    state = dec.init_state(ad.tensor(rng.normal(size=(k, 5, d))), _chain_flows(k))
+    h_lang, h_att, c_att, w_prev = (ad.parameter(rng.normal(size=(k, d))) for _ in range(4))
     state = replace(state, h_lang=h_lang, h_att=h_att, c_att=c_att)
-    fused = ad.parameter(rng.normal(size=_rows(scene_rows) + (d,)))
+    fused = ad.parameter(rng.normal(size=(k, d)))
     return (
         lambda: dec.attention_query_step(p, state, fused, w_prev),
         [fused, w_prev, h_lang, h_att, c_att, p.att_cell.w_ih, p.att_cell.w_hh],
     )
 
 
-def _content(rng, d=3, k=None):
+def _content(rng, d=3, k=1):
     p = dec.init_decoder_params(d, 5, rng)
-    x, h = ad.parameter(rng.normal(size=_rows(k) + (4, d))), ad.parameter(rng.normal(size=_rows(k) + (d,)))
-    return lambda: (dec.content_attention(p, x, h),), [x, h, p.content_wx, p.content_wh, p.content_score]
+    x, h = ad.parameter(rng.normal(size=(k, 4, d))), ad.parameter(rng.normal(size=(k, d)))
+    mask = np.zeros((k, 4))
+    return lambda: (dec.content_attention(p, x, h, mask),), [x, h, p.content_wx, p.content_wh, p.content_score]
 
 
-def _flow(rng, d=3, fg=None, k=None, raw=None):
+def _flow(rng, d=3, flows=None, k=1, raw=None):
     p = dec.init_decoder_params(d, 5, rng)
-    fg = build_flow(chain_graph()) if fg is None else fg
+    flows = _chain_flows(k) if flows is None else flows
     if raw is None:
-        raw = rng.random(_rows(k) + (fg.n_slots,)) + 0.1
+        raw = rng.random((k, flows.shape[-1])) + 0.1
     alpha = ad.parameter(raw / raw.sum(axis=-1, keepdims=True))
-    h, z = (ad.parameter(rng.normal(size=_rows(k) + (d,))) for _ in range(2))
-    return lambda: dec.flow_attention(p, fg, alpha, h, z), [alpha, h, z, p.flow_wh, p.flow_wz, p.flow_mode]
+    h, z = (ad.parameter(rng.normal(size=(k, d))) for _ in range(2))
+    return lambda: dec.flow_attention(p, flows, alpha, h, z), [alpha, h, z, p.flow_wh, p.flow_wz, p.flow_mode]
+
+
+def _one_edge(k=1):
+    """The flow matrix of one edge 0 -> 1 on 4 slots, for each of ``k``
+    rows: the 1-hop mass is alpha[0] and the 2-hop mass vanishes."""
+    m = np.zeros((k, 4, 4))
+    m[:, 1, 0] = 1.0
+    return m
 
 
 def _nilpotent_flow(rng):
-    # one edge 0 -> 1: the 1-hop mass is alpha[0] and the 2-hop mass vanishes
-    m = np.zeros((4, 4))
-    m[1, 0] = 1.0
-    return _flow(rng, fg=FlowGraph(n_slots=4, edges=((0, 1),), matrix=m))
+    return _flow(rng, flows=_one_edge())
 
 
 def _no_flow(rng):
     # no edges: both transports vanish and keep the previous attention
-    return _flow(rng, fg=FlowGraph(n_slots=4, edges=(), matrix=np.zeros((4, 4))))
+    return _flow(rng, flows=np.zeros((1, 4, 4)))
 
 
 def _flow_rows_vanish(rng):
     # one edge 0 -> 1 again, with rows that differ in alpha[0]: the 1-hop
     # mass of row 0 vanishes and that of rows 1 and 2 does not.  alpha is
     # left out of the check, since a finite step in alpha[0] of row 0
-    # would cross the threshold; TestBatchedAdjointsMatchRows covers it.
-    m = np.zeros((4, 4))
-    m[1, 0] = 1.0
+    # would cross the threshold; TestBatchedRowsMatchUnbatched covers it.
     raw = np.array([[0.0, 0.3, 0.3, 0.4], [0.5, 0.2, 0.2, 0.1], [0.2, 0.4, 0.1, 0.3]])
-    fn, params = _flow(rng, fg=FlowGraph(n_slots=4, edges=((0, 1),), matrix=m), k=3, raw=raw)
+    fn, params = _flow(rng, flows=_one_edge(3), k=3, raw=raw)
     return fn, params[1:]
 
 
-def _fuse(rng, d=3, k=None):
+def _fuse(rng, d=3, k=1):
     p = dec.init_decoder_params(d, 5, rng)
     ac, af = (ad.parameter(rng.dirichlet(np.ones(4), size=k)) for _ in range(2))
-    h, z = (ad.parameter(rng.normal(size=_rows(k) + (d,))) for _ in range(2))
-    x = ad.parameter(rng.normal(size=_rows(k) + (4, d)))
+    h, z = (ad.parameter(rng.normal(size=(k, d))) for _ in range(2))
+    x = ad.parameter(rng.normal(size=(k, 4, d)))
     return (
         lambda: dec.fuse_and_context(p, ac, af, h, z, x),
         [ac, af, h, z, x, p.fuse_wh, p.fuse_wz, p.fuse_gate],
     )
 
 
-def _context_only(rng, d=3, k=None):
+def _context_only(rng, d=3, k=1):
     # one attention branch off: the context alone is the primitive
-    x = ad.parameter(rng.normal(size=_rows(k) + (4, d)))
-    alpha, h, z = ad.parameter(rng.dirichlet(np.ones(4), size=k)), ad.tensor(np.zeros(d)), ad.tensor(np.zeros(d))
+    x = ad.parameter(rng.normal(size=(k, 4, d)))
+    alpha, h, z = ad.parameter(rng.dirichlet(np.ones(4), size=k)), ad.tensor(np.zeros((k, d))), ad.tensor(np.zeros((k, d)))
     p = dec.init_decoder_params(d, 5, rng)
     return lambda: dec.fuse_and_context(p, alpha, None, h, z, x)[1:2], [alpha, x]
 
 
-def _language(rng, d=3, k=None):
+def _language(rng, d=3, k=1):
     p = dec.init_decoder_params(d, 5, rng)
-    state = dec.init_state(ad.tensor(rng.normal(size=(5, d))), build_flow(chain_graph()))
-    h_lang, c_lang, ctx, hq = (ad.parameter(rng.normal(size=_rows(k) + (d,))) for _ in range(4))
+    state = dec.init_state(ad.tensor(rng.normal(size=(k, 5, d))), _chain_flows(k))
+    h_lang, c_lang, ctx, hq = (ad.parameter(rng.normal(size=(k, d))) for _ in range(4))
     state = replace(state, h_lang=h_lang, c_lang=c_lang)
     cell = p.lang_cell
     return (
@@ -470,7 +475,7 @@ def _output_loss(rng, d=3, vocab=5):
     # four steps' language states; target 3 twice
     p = dec.init_decoder_params(d, vocab, rng)
     p.b_out = ad.parameter(rng.normal(size=vocab))
-    h_rows = [ad.parameter(rng.normal(size=d)) for _ in range(4)]
+    h_rows = [ad.parameter(rng.normal(size=(1, d))) for _ in range(4)]
     return lambda: (dec.output_loss(p, h_rows, [3, 0, 3, 4]),), h_rows + [p.w_out, p.b_out]
 
 
@@ -479,9 +484,9 @@ def _cross_entropy(rng, vocab=5):
     return lambda: (ad.cross_entropy(logits, [1, 4, 1]),), [logits]
 
 
-def _graph_update(rng, d=3, k=None):
+def _graph_update(rng, d=3, k=1):
     p = dec.init_decoder_params(d, 5, rng)
-    x, h = ad.parameter(rng.normal(size=_rows(k) + (4, d))), ad.parameter(rng.normal(size=_rows(k) + (d,)))
+    x, h = ad.parameter(rng.normal(size=(k, 4, d))), ad.parameter(rng.normal(size=(k, d)))
     alpha = ad.parameter(rng.dirichlet(np.ones(4), size=k))
     return (
         lambda: dec.graph_update(p, x, h, alpha),
@@ -511,7 +516,8 @@ def _graph(roles, edges):
 
 def _pack_flows():
     """The flow matrices of a pack of three graphs with 5, 3 and 2
-    slots, zero-padded to 5 slots, and the pack's slot mask."""
+    slots, zero-padded to 5 slots, and the pack's own slots (true) as a
+    boolean mask."""
     graphs = [chain_graph(), _graph([NodeRole.OBJECT, NodeRole.ATTRIBUTE], ((0, 1),)), _graph([NodeRole.OBJECT], ())]
     m = np.zeros((3, 5, 5))
     for r, fg in enumerate(build_flow(g) for g in graphs):
@@ -534,12 +540,13 @@ def _content_pack(rng, d=3):
     p = dec.init_decoder_params(d, 5, rng)
     _, mask = _pack_flows()
     x, h = ad.parameter(_padded(mask, rng.normal(size=(3, 5, d)))), ad.parameter(rng.normal(size=(3, d)))
-    return lambda: (dec.content_attention(p, x, h, mask),), [x, h, p.content_wx, p.content_wh, p.content_score]
+    bias = np.where(mask, 0.0, -np.inf)
+    return lambda: (dec.content_attention(p, x, h, bias),), [x, h, p.content_wx, p.content_wh, p.content_score]
 
 
 def _flow_pack(rng):
     m, mask = _pack_flows()
-    return _flow(rng, fg=m, k=3, raw=_own_dist(rng, mask))
+    return _flow(rng, flows=m, k=3, raw=_own_dist(rng, mask))
 
 
 def _flow_pack_one_row_vanishes(rng):
@@ -551,7 +558,7 @@ def _flow_pack_one_row_vanishes(rng):
     m[1, 1, 0] = 1.0
     raw = _own_dist(rng, mask)
     raw[1] = [0.0, 0.5, 0.5, 0.0, 0.0]
-    fn, params = _flow(rng, fg=m, k=3, raw=raw)
+    fn, params = _flow(rng, flows=m, k=3, raw=raw)
     return fn, params[1:]
 
 
@@ -578,7 +585,8 @@ def _graph_update_pack(rng, d=3):
     )
 
 
-# name -> (maker of (forward, inputs to check), number of outputs)
+# name -> (maker of (forward, inputs to check), number of outputs); the
+# decoder primitives run on K = 1 rows
 FUSED = {
     "lstm_cell": (_lstm, 2),
     "lstm_cell_parts": (_lstm_parts, 2),
@@ -597,7 +605,7 @@ FUSED = {
     "cross_entropy": (_cross_entropy, 1),
 }
 
-# the decoder primitives again, on K=3 rows with a leading batch axis
+# the decoder primitives again, on K = 3 rows
 BATCHED = {
     "lstm_cell": _lstm,
     "lstm_cell_parts": _lstm_parts,
@@ -614,13 +622,13 @@ FUSED.update(
 )
 FUSED["flow_attention_k3_one_row_vanishes"] = (_flow_rows_vanish, 2)
 
-# a pack of three graphs of 5, 3 and 2 slots on K=3 rows: the masked
+# a pack of three graphs of 5, 3 and 2 slots on K = 3 rows: the masked
 # content attention, one scene vector and one flow matrix per row, and
 # padded slots in the fusion and the graph update
 FUSED.update(
     {
         "content_attention_pack": (_content_pack, 1),
-        "attention_query_pack": (lambda rng: _query(rng, k=3, scene_rows=3), 2),
+        "attention_query_pack": (lambda rng: _query(rng, k=3), 2),
         "flow_attention_pack": (_flow_pack, 2),
         "flow_attention_pack_one_row_vanishes": (_flow_pack_one_row_vanishes, 2),
         "fuse_and_context_pack": (_fuse_pack, 3),
@@ -662,13 +670,11 @@ class TestFusedAdjointsMatchFiniteDifferences:
 class TestBatchedRowsMatchUnbatched:
     def test_flow_attention_with_a_row_whose_transport_vanishes(self):
         # row 0 keeps its previous attention on the 1-hop transport, rows
-        # 1 and 2 do not; each row's outputs and adjoints are those of an
-        # unbatched call on that row alone
+        # 1 and 2 do not; each row's outputs and adjoints are those of a
+        # K = 1 call on that row alone
         rng = np.random.default_rng(2)
         p = dec.init_decoder_params(3, 5, rng)
-        m = np.zeros((4, 4))
-        m[1, 0] = 1.0
-        fg = FlowGraph(n_slots=4, edges=((0, 1),), matrix=m)
+        flows = _one_edge(3)
         alpha = np.array([[0.0, 0.3, 0.3, 0.4], [0.5, 0.2, 0.2, 0.1], [0.2, 0.4, 0.1, 0.3]])
         h, z = rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
         weights = rng.normal(size=(3, 4)), rng.normal(size=(3, 3))
@@ -678,7 +684,7 @@ class TestBatchedRowsMatchUnbatched:
             ad.zero_grads(weight_params)
             inputs = [ad.parameter(v[rows]) for v in (alpha, h, z)]
             with ad.record() as tape:
-                outs = dec.flow_attention(p, fg, *inputs)
+                outs = dec.flow_attention(p, flows[rows], *inputs)
                 total = None
                 for o, w in zip(outs, weights):
                     term = ad.tsum(ad.mul(o, ad.tensor(w[rows])))
@@ -689,9 +695,9 @@ class TestBatchedRowsMatchUnbatched:
         outs, grads, wgrads = run(slice(None))
         row_wgrads = [0.0] * 3
         for r in range(3):
-            r_outs, r_grads, r_wgrads = run(r)
+            r_outs, r_grads, r_wgrads = run(slice(r, r + 1))
             for got, want in zip([o[r] for o in outs] + [g[r] for g in grads], r_outs + r_grads):
-                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+                np.testing.assert_allclose(got, want[0], rtol=1e-12, atol=1e-15)
             row_wgrads = [a + b for a, b in zip(row_wgrads, r_wgrads)]
         for got, want in zip(wgrads, row_wgrads):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
@@ -699,20 +705,21 @@ class TestBatchedRowsMatchUnbatched:
 
 class TestPackRowsMatchTheirOwnGraphs:
     def test_attention_of_each_row(self):
-        # each row of a pack computes on its own slots what an unbatched
-        # call on its own graph computes, and exactly zero past them
+        # each row of a pack computes on its own slots what a K = 1 call
+        # on its own graph computes, and exactly zero past them
         rng = np.random.default_rng(3)
         p = dec.init_decoder_params(3, 5, rng)
         m, mask = _pack_flows()
         x = _padded(mask, rng.normal(size=(3, 5, 3)))
         alpha = _own_dist(rng, mask)
         h, z = rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
-        content = dec.content_attention(p, ad.tensor(x), ad.tensor(h), mask).data
+        content = dec.content_attention(p, ad.tensor(x), ad.tensor(h), np.where(mask, 0.0, -np.inf)).data
         flow = dec.flow_attention(p, m, ad.tensor(alpha), ad.tensor(h), ad.tensor(z))[0].data
         for r, n in enumerate([5, 3, 2]):
-            own_content = dec.content_attention(p, ad.tensor(x[r, :n]), ad.tensor(h[r])).data
-            own_flow = dec.flow_attention(p, m[r, :n, :n], ad.tensor(alpha[r, :n]), ad.tensor(h[r]), ad.tensor(z[r]))
-            for got, want in ((content[r], own_content), (flow[r], own_flow[0].data)):
+            row = slice(r, r + 1)
+            own_content = dec.content_attention(p, ad.tensor(x[row, :n]), ad.tensor(h[row]), np.zeros((1, n))).data
+            own_flow = dec.flow_attention(p, m[row, :n, :n], ad.tensor(alpha[row, :n]), ad.tensor(h[row]), ad.tensor(z[row]))
+            for got, want in ((content[r], own_content[0]), (flow[r], own_flow[0].data[0])):
                 np.testing.assert_allclose(got[:n], want, rtol=1e-12, atol=1e-15)
                 assert not got[n:].any()
 

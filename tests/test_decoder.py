@@ -44,31 +44,35 @@ def rand_params(d, vocab=7, seed=0):
     return init_decoder_params(d, vocab, np.random.default_rng(seed))
 
 
+def chain_flows(k=1):
+    """The chain graph's flow matrix for each of ``k`` rows, (k, 5, 5)."""
+    return np.repeat(build_flow(chain_graph()).matrix[None], k, axis=0)
+
+
 class TestInitState:
     def test_start_one_hot(self):
-        fg = build_flow(chain_graph())
-        x = ad.tensor(np.random.default_rng(0).normal(size=(5, 3)))
-        st = init_state(x, fg)
-        np.testing.assert_array_equal(st.alpha.data, [1, 0, 0, 0, 0])
-        np.testing.assert_array_equal(st.z.data, np.zeros(3))
+        x = ad.tensor(np.random.default_rng(0).normal(size=(2, 5, 3)))
+        st = init_state(x, chain_flows(2))
+        np.testing.assert_array_equal(st.alpha.data, [[1, 0, 0, 0, 0]] * 2)
+        np.testing.assert_array_equal(st.z.data, np.zeros((2, 3)))
+        for h in (st.h_att, st.c_att, st.h_lang, st.c_lang):
+            assert h.data.shape == (2, 3)
+        assert st.x_nodes is x
 
     def test_zero_context_dot(self):
-        fg = build_flow(chain_graph())
-        x = ad.tensor(np.ones((5, 3)))
-        st = init_state(x, fg)
-        assert float(st.z.data @ np.ones(3)) == 0.0
+        x = ad.tensor(np.ones((1, 5, 3)))
+        st = init_state(x, chain_flows())
+        assert float(st.z.data[0] @ np.ones(3)) == 0.0
 
     def test_deterministic(self):
-        fg = build_flow(chain_graph())
-        x = ad.tensor(np.random.default_rng(1).normal(size=(5, 4)))
-        a, b = init_state(x, fg), init_state(x, fg)
+        x = ad.tensor(np.random.default_rng(1).normal(size=(1, 5, 4)))
+        a, b = init_state(x, chain_flows()), init_state(x, chain_flows())
         np.testing.assert_array_equal(a.alpha.data, b.alpha.data)
         np.testing.assert_array_equal(a.h_att.data, b.h_att.data)
 
     def test_slot_mismatch(self):
-        fg = build_flow(chain_graph())
         with pytest.raises(ShapeError):
-            init_state(ad.tensor(np.zeros((3, 4))), fg)
+            init_state(ad.tensor(np.zeros((1, 3, 4))), chain_flows())
 
 
 class TestLstmCell:
@@ -79,14 +83,14 @@ class TestLstmCell:
             w_hh=ad.parameter(np.zeros((d, 4 * d))),
             bias=ad.parameter(np.zeros(4 * d)),
         )
-        h, c = lstm_step(cell, [ad.tensor(np.zeros(2 * d))], ad.tensor(np.zeros(d)), ad.tensor(np.zeros(d)))
-        np.testing.assert_array_equal(h.data, np.zeros(d))
-        np.testing.assert_array_equal(c.data, np.zeros(d))
+        h, c = lstm_step(cell, [ad.tensor(np.zeros((1, 2 * d)))], ad.tensor(np.zeros((1, d))), ad.tensor(np.zeros((1, d))))
+        np.testing.assert_array_equal(h.data, np.zeros((1, d)))
+        np.testing.assert_array_equal(c.data, np.zeros((1, d)))
 
     def test_deterministic(self):
         cell = rand_params(3).att_cell
         rng = np.random.default_rng(5)
-        x, h, c = (ad.tensor(rng.normal(size=n)) for n in (9, 3, 3))
+        x, h, c = (ad.tensor(rng.normal(size=(1, n))) for n in (9, 3, 3))
         h1, c1 = lstm_step(cell, [x], h, c)
         h2, c2 = lstm_step(cell, [x], h, c)
         np.testing.assert_array_equal(h1.data, h2.data)
@@ -107,20 +111,20 @@ class TestLstmCell:
         g = math.tanh(gates[3])
         c_want = f * c + i * g
         h_want = o * math.tanh(c_want)
-        h_got, c_got = lstm_step(cell, [ad.tensor([x])], ad.tensor([h]), ad.tensor([c]))
-        np.testing.assert_allclose(h_got.data, [h_want], atol=1e-15)
-        np.testing.assert_allclose(c_got.data, [c_want], atol=1e-15)
+        h_got, c_got = lstm_step(cell, [ad.tensor([[x]])], ad.tensor([[h]]), ad.tensor([[c]]))
+        np.testing.assert_allclose(h_got.data, [[h_want]], atol=1e-15)
+        np.testing.assert_allclose(c_got.data, [[c_want]], atol=1e-15)
 
     def test_parts_are_the_concatenated_input(self):
-        # a part shared by every row, a table lookup and a row tensor
-        # give the bits of their concatenation as one input
+        # two row tensors around a table lookup give the bits of their
+        # concatenation as one input
         cell = rand_params(3).att_cell
         rng = np.random.default_rng(6)
-        shared, table, x = rng.normal(size=3), rng.normal(size=(5, 3)), rng.normal(size=(2, 3))
+        scene, table, x = rng.normal(size=(2, 3)), rng.normal(size=(5, 3)), rng.normal(size=(2, 3))
         h, c = (ad.tensor(rng.normal(size=(2, 3))) for _ in range(2))
         ids = np.array([4, 1])
-        got = lstm_step(cell, [ad.tensor(shared), (ad.tensor(table), ids), ad.tensor(x)], h, c)
-        whole = np.concatenate([np.tile(shared, (2, 1)), table[ids], x], axis=1)
+        got = lstm_step(cell, [ad.tensor(scene), (ad.tensor(table), ids), ad.tensor(x)], h, c)
+        whole = np.concatenate([scene, table[ids], x], axis=1)
         want = lstm_step(cell, [ad.tensor(whole)], h, c)
         for a, b in zip(got, want):
             assert np.array_equal(a.data, b.data)
@@ -129,15 +133,15 @@ class TestLstmCell:
 class TestContentAttention:
     def test_identical_rows_uniform(self):
         p = rand_params(4)
-        x = ad.tensor(np.tile(np.random.default_rng(2).normal(size=4), (6, 1)))
-        h = ad.tensor(np.random.default_rng(3).normal(size=4))
-        out = content_attention(p, x, h)
-        np.testing.assert_allclose(out.data, np.full(6, 1 / 6), atol=1e-12)
+        x = ad.tensor(np.tile(np.random.default_rng(2).normal(size=4), (1, 6, 1)))
+        h = ad.tensor(np.random.default_rng(3).normal(size=(1, 4)))
+        out = content_attention(p, x, h, np.zeros((1, 6)))
+        np.testing.assert_allclose(out.data, np.full((1, 6), 1 / 6), atol=1e-12)
 
     def test_single_slot(self):
         p = rand_params(4)
-        out = content_attention(p, ad.tensor(np.ones((1, 4))), ad.tensor(np.zeros(4)))
-        np.testing.assert_array_equal(out.data, [1.0])
+        out = content_attention(p, ad.tensor(np.ones((1, 1, 4))), ad.tensor(np.zeros((1, 4))), np.zeros((1, 1)))
+        np.testing.assert_array_equal(out.data, [[1.0]])
 
     def test_pencil_two_nodes_1d(self):
         # d=1: scores_i = w_c * tanh(w_x * x_i + w_h * h)
@@ -150,8 +154,8 @@ class TestContentAttention:
         s1 = 1.5 * math.tanh(2 * x1 + 0.5 * h)
         e0, e1 = math.exp(s0), math.exp(s1)
         want = np.array([e0, e1]) / (e0 + e1)
-        got = content_attention(p, ad.tensor([[x0], [x1]]), ad.tensor([h]))
-        np.testing.assert_allclose(got.data, want, atol=1e-14)
+        got = content_attention(p, ad.tensor([[[x0], [x1]]]), ad.tensor([[h]]), np.zeros((1, 2))).data[0]
+        np.testing.assert_allclose(got, want, atol=1e-14)
 
 
 class TestFlowAttention:
@@ -161,17 +165,13 @@ class TestFlowAttention:
         p.flow_wh = ad.parameter(np.zeros((d, d)))
         p.flow_wz = ad.parameter(np.zeros((d, d)))
         fg = build_flow(chain_graph())
-        alpha = ad.tensor(np.array([0.0, 1.0, 0.0, 0.0, 0.0]))
-        h = ad.tensor(np.random.default_rng(4).normal(size=d))
-        z = ad.tensor(np.random.default_rng(5).normal(size=d))
-        out, modes = flow_attention(p, fg, alpha, h, z)
-        np.testing.assert_allclose(modes.data, [1 / 3] * 3, atol=1e-12)
-        want = (
-            flow_step(fg, alpha.data, 0)
-            + flow_step(fg, alpha.data, 1)
-            + flow_step(fg, alpha.data, 2)
-        ) / 3.0
-        np.testing.assert_allclose(out.data, want, atol=1e-12)
+        alpha = np.array([0.0, 1.0, 0.0, 0.0, 0.0])
+        h = ad.tensor(np.random.default_rng(4).normal(size=(1, d)))
+        z = ad.tensor(np.random.default_rng(5).normal(size=(1, d)))
+        out, modes = flow_attention(p, chain_flows(), ad.tensor([alpha]), h, z)
+        np.testing.assert_allclose(modes.data, [[1 / 3] * 3], atol=1e-12)
+        want = (flow_step(fg, alpha, 0) + flow_step(fg, alpha, 1) + flow_step(fg, alpha, 2)) / 3.0
+        np.testing.assert_allclose(out.data[0], want, atol=1e-12)
 
     def test_matches_reference_transport_for_any_gate(self):
         # whatever mode distribution the gate produces, the output must
@@ -181,15 +181,14 @@ class TestFlowAttention:
         rng = np.random.default_rng(9)
         for _ in range(25):
             raw = rng.random(fg.n_slots) + 1e-6
-            alpha = ad.tensor(raw / raw.sum())
-            h = ad.tensor(rng.normal(size=5))
-            z = ad.tensor(rng.normal(size=5))
-            out, modes = flow_attention(p, fg, alpha, h, z)
-            want = sum(
-                modes.data[k] * flow_step(fg, alpha.data, k) for k in range(3)
-            )
-            np.testing.assert_allclose(out.data, want, atol=1e-12)
-            assert abs(modes.data.sum() - 1.0) < 1e-12 and modes.data.min() >= 0
+            alpha = raw / raw.sum()
+            h = ad.tensor(rng.normal(size=(1, 5)))
+            z = ad.tensor(rng.normal(size=(1, 5)))
+            out, modes = flow_attention(p, chain_flows(), ad.tensor([alpha]), h, z)
+            s = modes.data[0]
+            want = sum(s[k] * flow_step(fg, alpha, k) for k in range(3))
+            np.testing.assert_allclose(out.data[0], want, atol=1e-12)
+            assert abs(s.sum() - 1.0) < 1e-12 and s.min() >= 0
 
     def test_relationship_hop_concentrates_on_object(self):
         # one-hot on the relationship node, one step -> its object
@@ -203,32 +202,32 @@ class TestFlowAttention:
 class TestFuseAndContext:
     def test_content_only(self):
         p = rand_params(3)
-        ac = ad.tensor(np.array([0.2, 0.8]))
-        x = ad.tensor(np.random.default_rng(0).normal(size=(2, 3)))
-        alpha, ctx, beta = fuse_and_context(p, ac, None, ad.tensor(np.zeros(3)), ad.tensor(np.zeros(3)), x)
+        ac = ad.tensor(np.array([[0.2, 0.8]]))
+        x = ad.tensor(np.random.default_rng(0).normal(size=(1, 2, 3)))
+        alpha, ctx, beta = fuse_and_context(p, ac, None, ad.tensor(np.zeros((1, 3))), ad.tensor(np.zeros((1, 3))), x)
         assert beta is None
         np.testing.assert_array_equal(alpha.data, ac.data)
 
     def test_equal_branches_any_gate(self):
         p = rand_params(3, seed=6)
-        a = ad.tensor(np.array([0.5, 0.25, 0.25]))
-        x = ad.tensor(np.random.default_rng(1).normal(size=(3, 3)))
-        h = ad.tensor(np.random.default_rng(2).normal(size=3))
+        a = ad.tensor(np.array([[0.5, 0.25, 0.25]]))
+        x = ad.tensor(np.random.default_rng(1).normal(size=(1, 3, 3)))
+        h = ad.tensor(np.random.default_rng(2).normal(size=(1, 3)))
         alpha, ctx, beta = fuse_and_context(p, a, a, h, h, x)
         np.testing.assert_allclose(alpha.data, a.data, atol=1e-15)
-        assert 0.0 < float(beta.data[0]) < 1.0
+        assert beta.data.shape == (1, 1) and 0.0 < float(beta.data[0, 0]) < 1.0
 
     def test_context_weighted_sum_pencil(self):
         p = rand_params(2)
-        alpha_c = ad.tensor(np.array([0.25, 0.75]))
-        x = ad.tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        alpha, ctx, _ = fuse_and_context(p, alpha_c, None, ad.tensor(np.zeros(2)), ad.tensor(np.zeros(2)), x)
-        np.testing.assert_allclose(ctx.data, [0.25 * 1 + 0.75 * 3, 0.25 * 2 + 0.75 * 4], atol=1e-15)
+        alpha_c = ad.tensor(np.array([[0.25, 0.75]]))
+        x = ad.tensor(np.array([[[1.0, 2.0], [3.0, 4.0]]]))
+        alpha, ctx, _ = fuse_and_context(p, alpha_c, None, ad.tensor(np.zeros((1, 2))), ad.tensor(np.zeros((1, 2))), x)
+        np.testing.assert_allclose(ctx.data, [[0.25 * 1 + 0.75 * 3, 0.25 * 2 + 0.75 * 4]], atol=1e-15)
 
     def test_both_disabled_rejected(self):
         p = rand_params(2)
         with pytest.raises(ShapeError):
-            fuse_and_context(p, None, None, ad.tensor(np.zeros(2)), ad.tensor(np.zeros(2)), ad.tensor(np.zeros((1, 2))))
+            fuse_and_context(p, None, None, ad.tensor(np.zeros((1, 2))), ad.tensor(np.zeros((1, 2))), ad.tensor(np.zeros((1, 1, 2))))
 
 
 class TestOutputLayer:
@@ -263,21 +262,21 @@ class TestGraphUpdate:
         d = 4
         p = rand_params(d, seed=7)
         p.sentinel_b = ad.parameter(np.array([-1000.0]))  # sigmoid underflows to exactly 0
-        x = ad.tensor(np.random.default_rng(8).normal(size=(5, d)))
-        alpha = ad.tensor(np.full(5, 0.2))
-        x_new, sentinel = graph_update(p, x, ad.tensor(np.random.default_rng(9).normal(size=d)), alpha)
-        assert float(sentinel.data[0]) == 0.0
+        x = ad.tensor(np.random.default_rng(8).normal(size=(1, 5, d)))
+        alpha = ad.tensor(np.full((1, 5), 0.2))
+        x_new, sentinel = graph_update(p, x, ad.tensor(np.random.default_rng(9).normal(size=(1, d))), alpha)
+        assert float(sentinel.data[0, 0]) == 0.0
         assert np.array_equal(x_new.data, x.data)
 
     def test_zero_attention_slot_bit_identical(self):
         d = 3
         p = rand_params(d, seed=10)
-        x = ad.tensor(np.random.default_rng(11).normal(size=(4, d)))
-        alpha = ad.tensor(np.array([0.5, 0.0, 0.5, 0.0]))
-        x_new, _ = graph_update(p, x, ad.tensor(np.random.default_rng(12).normal(size=d)), alpha)
-        assert np.array_equal(x_new.data[1], x.data[1])
-        assert np.array_equal(x_new.data[3], x.data[3])
-        assert not np.array_equal(x_new.data[0], x.data[0])
+        x = ad.tensor(np.random.default_rng(11).normal(size=(1, 4, d)))
+        alpha = ad.tensor(np.array([[0.5, 0.0, 0.5, 0.0]]))
+        x_new, _ = graph_update(p, x, ad.tensor(np.random.default_rng(12).normal(size=(1, d))), alpha)
+        assert np.array_equal(x_new.data[0, 1], x.data[0, 1])
+        assert np.array_equal(x_new.data[0, 3], x.data[0, 3])
+        assert not np.array_equal(x_new.data[0, 0], x.data[0, 0])
 
     def test_full_erase_zero_add(self):
         d = 3
@@ -287,12 +286,12 @@ class TestGraphUpdate:
         p.erase_b = ad.parameter(np.full(d, 1000.0))  # erase gate exactly 1
         p.add_w = ad.parameter(np.zeros((2 * d, d)))
         p.add_b = ad.parameter(np.zeros(d))
-        x = ad.tensor(np.random.default_rng(14).normal(size=(2, d)))
-        alpha = ad.tensor(np.array([1.0, 0.0]))
-        x_new, sentinel = graph_update(p, x, ad.tensor(np.zeros(d)), alpha)
-        assert float(sentinel.data[0]) == 1.0
-        np.testing.assert_array_equal(x_new.data[0], np.zeros(d))
-        np.testing.assert_array_equal(x_new.data[1], x.data[1])
+        x = ad.tensor(np.random.default_rng(14).normal(size=(1, 2, d)))
+        alpha = ad.tensor(np.array([[1.0, 0.0]]))
+        x_new, sentinel = graph_update(p, x, ad.tensor(np.zeros((1, d))), alpha)
+        assert float(sentinel.data[0, 0]) == 1.0
+        np.testing.assert_array_equal(x_new.data[0, 0], np.zeros(d))
+        np.testing.assert_array_equal(x_new.data[0, 1], x.data[0, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -327,9 +326,9 @@ def enumerate_sequences(model, g, feats, max_len, eos_id):
             leaves.append((tuple(tokens), score))
             return
         prev = tokens[-1] if tokens else model.bos_id
-        new_state, log_probs = model.step(prepared, state, prev)
-        for tok in range(len(log_probs)):
-            walk(new_state, tokens + [tok], score + float(log_probs[tok]))
+        new_state, log_probs = model.step(prepared, state, np.array([prev]))
+        for tok in range(log_probs.shape[1]):
+            walk(new_state, tokens + [tok], score + float(log_probs[0, tok]))
 
     walk(model.initial_state(prepared), [], 0.0)
     return leaves
@@ -345,8 +344,9 @@ class TestBeamSearch:
         tokens = []
         prev = model.bos_id
         for _ in range(6):
-            state, lp = model.step(prepared, state, prev)
-            prev = int(np.argmax(lp))
+            state, lp = model.step(prepared, state, np.array([prev]))
+            assert lp.shape == (1, len(model.vocab))
+            prev = int(np.argmax(lp[0]))
             tokens.append(prev)
             if prev == model.eos_id:
                 break
@@ -396,8 +396,8 @@ class TestBeamSearch:
 
 def reference_beam_search(model, g, feats, beam, max_len, eos_id):
     """Beam search one hypothesis at a time: each unfinished hypothesis
-    takes its own unbatched ``model.step`` (the packed search's oracle).
-    Returns (tokens, score) pairs, best first."""
+    takes its own ``model.step`` as a pack of one row (the packed
+    search's oracle).  Returns (tokens, score) pairs, best first."""
     prepared = model.prepare(g, feats)
     beams = [([], 0.0, model.initial_state(prepared), False)]
     for _ in range(max_len):
@@ -406,10 +406,10 @@ def reference_beam_search(model, g, feats, beam, max_len, eos_id):
             if finished:
                 candidates.append((tokens, score, state, finished))
                 continue
-            new_state, log_probs = model.step(prepared, state, tokens[-1] if tokens else model.bos_id)
-            for tok in np.argsort(log_probs)[::-1][:beam]:
+            new_state, log_probs = model.step(prepared, state, np.array([tokens[-1] if tokens else model.bos_id]))
+            for tok in np.argsort(log_probs[0])[::-1][:beam]:
                 tok = int(tok)
-                candidates.append((tokens + [tok], score + float(log_probs[tok]), new_state, tok == eos_id))
+                candidates.append((tokens + [tok], score + float(log_probs[0, tok]), new_state, tok == eos_id))
         candidates.sort(key=lambda c: c[1], reverse=True)
         beams = candidates[:beam]
         if all(c[3] for c in beams):
@@ -531,13 +531,13 @@ class TestStepInvariants:
         rng = np.random.default_rng(9)
         state = model.initial_state(prepared)
         for _ in range(60):
-            prev = int(rng.integers(len(model.vocab)))
+            prev = rng.integers(len(model.vocab), size=1)
             state, modes, beta, _ = model._step(prepared, state, prev)
             alpha = state.alpha.data
-            assert alpha.min() >= 0 and abs(alpha.sum() - 1.0) < 1e-9
-            assert 0.0 < beta.data[0] < 1.0
+            assert alpha.shape == (1, 4) and alpha.min() >= 0 and abs(alpha.sum() - 1.0) < 1e-9
+            assert beta.data.shape == (1, 1) and 0.0 < beta.data[0, 0] < 1.0
             s = modes.data
-            assert s.min() >= 0 and abs(s.sum() - 1.0) < 1e-9
+            assert s.shape == (1, 3) and s.min() >= 0 and abs(s.sum() - 1.0) < 1e-9
 
     def test_one_step_records_one_entry_per_sub_module(self):
         # word lookup, the two cells with their input projections,
@@ -548,7 +548,7 @@ class TestStepInvariants:
         prepared = model.prepare(g, feats)
         state = model.initial_state(prepared)
         with ad.record() as tape:
-            model._step(prepared, state, model.bos_id)
+            model._step(prepared, state, np.array([model.bos_id]))
         assert len(tape) == 7
 
     @pytest.mark.parametrize("switch", [None, "use_content_attention", "use_flow_attention", "use_graph_update"])
@@ -562,8 +562,8 @@ class TestStepInvariants:
         prepared = model.prepare(g, feats)
         state, total = model.initial_state(prepared), 0.0
         for prev, target in zip([model.bos_id] + ids, ids + [model.eos_id]):
-            state, log_probs = model.step(prepared, state, prev)
-            total += log_probs[target]
+            state, log_probs = model.step(prepared, state, np.array([prev]))
+            total += log_probs[0, target]
         loss, n = model.loss(g, feats, ids)
         assert n == len(ids) + 1
         assert abs(loss.item() * n + total) <= 1e-12 * abs(total)

@@ -422,11 +422,19 @@ class TestBadCheckpoint:
             {"manifest.json": cut_short},
             {"world.json": cut_short},
             {"world.json": json_edit(lambda world: {**world, "noise": -1.0})},
+            {"train_config.json": json_edit(lambda config: {**config, "max_attrs": -1})},
+            {"train_config.json": json_edit(lambda config: {**config, "dim": config["dim"] + 0.5})},
+            {"train_config.json": json_edit(lambda config: {**config, "n_layers": 1.5})},
+            {"train_config.json": json_edit(lambda config: {**config, "n_layers": True})},
+            {"train_config.json": json_edit(lambda config: {**config, "use_flow_attention": "no"})},
+            {"world.json": json_edit(lambda world: {**world, "dim": world["dim"] + 0.5})},
         ],
         ids=[
             "truncated-weights", "extra-tensor", "unknown-config-key",
             "cut-short-train-config", "cut-short-manifest",
-            "cut-short-world", "bad-world-value",
+            "cut-short-world", "bad-world-value", "negative-max-attrs",
+            "fractional-dim", "fractional-layers", "bool-layers",
+            "string-switch", "fractional-world-dim",
         ],
     )
     def test_load_raises_shape_error_and_caption_exits_2(self, saved, tmp_path, capsys, edits):
@@ -510,11 +518,14 @@ class TestBadWorldConfig:
             '{"n_rel_classes": 9}',
             '{"dim": 0}',
             '{"dim": 6, "prototype_seed": -1}',
+            '{"dim": 64.5}',
+            '{"min_objects": true}',
+            '{"dim": 12, "noise": "high"}',
         ],
         ids=[
             "unknown-key", "bad-value", "malformed-json", "negative-attrs", "too-many-attrs",
             "too-many-object-classes", "too-many-attr-classes", "too-many-rel-classes", "zero-dim",
-            "negative-prototype-seed",
+            "negative-prototype-seed", "fractional-dim", "bool-count", "string-noise",
         ],
     )
     def test_gen_data_exits_2(self, tmp_path, capsys, text):
@@ -582,6 +593,13 @@ class TestCli:
         with open(root / "trace.json") as fh:
             trace = json.load(fh)
         assert trace and {"token", "alpha", "beta", "s", "sentinel"} <= set(trace[0])
+        # one row's values: a flat list of the graph's slot weights, and
+        # the three mode weights when flow attention is on
+        n_slots = asg_from_json(root / "asg.json").n_nodes + 1
+        for st in trace:
+            assert len(st["alpha"]) == n_slots and all(type(w) is float for w in st["alpha"])
+            assert st["s"] is None or (len(st["s"]) == 3 and all(type(w) is float for w in st["s"]))
+            assert all(st[k] is None or type(st[k]) is float for k in ("beta", "sentinel"))
         # one trace step per token of the best hypothesis, end token included
         ckpt = Checkpoint.load(root / "ckpt")
         with open(root / "data" / "world.json") as fh:
